@@ -208,7 +208,9 @@ def cmd_factor(args) -> int:
         "residual": "INF" if residual is INF else ser.frac_str(residual),
         "polygon": ser.polygon_to_obj(newton_polygon(P, r)),
     }
-    assert check.is_zero() or check.min_valuation(r) == residual
+    if check.min_valuation(r) != residual:
+        sys.stderr.write("error: reported residual differs from the residual of the factors\n")
+        return 2
     _emit(ser.dumps(out), args.output)
     return 0
 

@@ -9,7 +9,6 @@ and refused.  None of these act on module matrices; only radius data moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -130,14 +129,6 @@ def rotation_radius(intrinsic_by_axis: Mapping, r, r_plus) -> Fraction:
         if best is None or val > best:
             best = val
     return best
-
-
-@dataclass(frozen=True)
-class LawCheck:
-    entry: Fraction
-    law: str
-    status: str
-    detail: str
 
 
 def check_push_pull_laws(radii: RadiiMultiset, p: int) -> Report:

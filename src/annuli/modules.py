@@ -25,6 +25,7 @@ from typing import Dict, Sequence, Tuple
 
 from .twisted import (
     NewtonPolygon,
+    NonConvergence,
     TwistedPoly,
     _laurent_approx,
     newton_polygon,
@@ -36,7 +37,8 @@ from .valued import (
     FracElement,
     LaurentElement,
     ValuationConfig,
-    ordp,
+    solve,
+    term_valuation,
     vmin,
 )
 
@@ -75,10 +77,6 @@ def mat_mul(A, B):
     ]
 
 
-def mat_vec(A, v):
-    return [sum((A[i][j] * v[j] for j in range(1, len(v))), A[i][0] * v[0]) for i in range(len(A))]
-
-
 def mat_derive(A, axis):
     return [[a.derive(axis) for a in row] for row in A]
 
@@ -92,47 +90,15 @@ def _mat_eq(A, B):
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
-def frac_mat_inverse(A, cfg: ValuationConfig):
-    """Exact inverse of a matrix of FracElements by Gauss-Jordan elimination."""
-    d = len(A)
-    one = FracElement(cfg.one())
-    zero = FracElement(cfg.zero())
-    M = [[FracElement(x) if isinstance(x, LaurentElement) else x for x in row] + [
-        one if i == j else zero for j in range(d)
-    ] for i, row in enumerate(A)]
-    for col in range(d):
-        piv = next((i for i in range(col, d) if not M[i][col].is_zero()), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col].inverse()
-        M[col] = [x * inv for x in M[col]]
-        for i in range(d):
-            if i != col and not M[i][col].is_zero():
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
-    return [row[d:] for row in M]
+def _frac_identity(cfg: ValuationConfig, d: int):
+    one, zero = FracElement(cfg.one()), FracElement(cfg.zero())
+    return [[one if i == j else zero for j in range(d)] for i in range(d)]
 
 
-def frac_det(A, cfg: ValuationConfig):
-    """Exact determinant by fraction-field elimination."""
-    d = len(A)
-    M = [[FracElement(x) if isinstance(x, LaurentElement) else x for x in row] for row in A]
-    det = FracElement(cfg.one())
-    for col in range(d):
-        piv = next((i for i in range(col, d) if not M[i][col].is_zero()), None)
-        if piv is None:
-            return FracElement(cfg.zero())
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det = det * M[col][col]
-        inv = M[col][col].inverse()
-        for i in range(col + 1, d):
-            if not M[i][col].is_zero():
-                f = M[i][col] * inv
-                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
-    return det
+def _frac_inverse(A, cfg: ValuationConfig):
+    """Exact inverse over the fraction field; ``ZeroDivisionError`` if singular."""
+    M = [[x if isinstance(x, FracElement) else FracElement(x) for x in row] for row in A]
+    return solve(M, _frac_identity(cfg, len(A)))[0]
 
 
 # -- the module type ----------------------------------------------------------
@@ -174,7 +140,11 @@ class DiffModule:
         return sorted(self.matrices)
 
     def matrix(self, axis: str):
-        return self.matrices[axis]
+        """The connection matrix of ``axis``; ``ValueError`` if the module lacks it."""
+        try:
+            return self.matrices[axis]
+        except KeyError:
+            raise ValueError(f"module carries no derivation along {axis!r}") from None
 
     def __repr__(self):
         return f"DiffModule(rank={self.rank}, axes={self.axes()})"
@@ -259,9 +229,11 @@ def apply_connection(M: DiffModule, axis: str, vec: Sequence) -> list:
     """Exact ``d(vec) + N vec`` on a coordinate vector."""
     if len(vec) != M.rank:
         raise ValueError("vector length mismatch")
-    N = M.matrices[axis]
-    dv = [x.derive(axis) for x in vec]
-    return [a + b for a, b in zip(dv, mat_vec(N, vec))]
+    N = M.matrix(axis)
+    return [
+        x.derive(axis) + sum((N[i][j] * vec[j] for j in range(1, len(vec))), N[i][0] * vec[0])
+        for i, x in enumerate(vec)
+    ]
 
 
 def iterate_Dn(M: DiffModule, axis: str, n_max: int, r: Sequence) -> list:
@@ -282,19 +254,6 @@ def _iterate_Dn(M: DiffModule, axis: str, n_max: int, r: Sequence, from_n: int) 
     d = M.rank
     kind, idx = cfg.axis_kind(axis)
     r = tuple(Fraction(x) for x in r)
-    weights = cfg.u_weights
-    p = cfg.p
-
-    def tval(key, c):
-        e, i = key
-        v = ordp(c, p)
-        for a, w in zip(e, weights):
-            if a:
-                v += a * w
-        for a, x in zip(i, r):
-            if a:
-                v += a * x
-        return v
 
     def dict_derive(D):
         out = {}
@@ -323,7 +282,7 @@ def _iterate_Dn(M: DiffModule, axis: str, n_max: int, r: Sequence, from_n: int) 
         return c.numerator if c.denominator == 1 else c
 
     N = [
-        [{k: light(c) for k, c in M.matrices[axis][a][b].terms.items()} for b in range(d)]
+        [{k: light(c) for k, c in M.matrix(axis)[a][b].terms.items()} for b in range(d)]
         for a in range(d)
     ]
     D = N
@@ -335,7 +294,7 @@ def _iterate_Dn(M: DiffModule, axis: str, n_max: int, r: Sequence, from_n: int) 
                 for entry in row:
                     for key, c in entry.items():
                         if c:
-                            v = vmin(v, tval(key, c))
+                            v = vmin(v, term_valuation(cfg, key, c, r))
             out.append((n, v))
         if n < n_max:
             new = []
@@ -407,46 +366,29 @@ def _cyclic_candidates(M: DiffModule, axis: str):
 def cyclic_vector(M: DiffModule, axis: str) -> Tuple[list, TwistedPoly]:
     """A cyclic vector over the rational-function field plus its annihilator.
 
-    The candidate is certified by a nonzero exact determinant of
+    The candidate is certified by a nonsingular exact elimination of
     ``[v, Dv, ..., D^{d-1}v]``; the characteristic polynomial is the monic
     twisted polynomial with ``P(D)v = 0``, solved exactly over fractions.
     """
     cfg = M.config
     d = M.rank
-    N = M.matrices[axis]
-
-    def D(vec):
-        dv = [x.derive(axis) for x in vec]
-        Nv = [
-            sum(
-                (FracElement(N[i][j]) * vec[j] for j in range(1, d)),
-                FracElement(N[i][0]) * vec[0],
-            )
-            for i in range(d)
-        ]
-        return [a + b for a, b in zip(dv, Nv)]
-
-    tried = []
+    tried = 0
     for vec in _cyclic_candidates(M, axis):
         cols = [vec]
         for _ in range(d - 1):
-            cols.append(D(cols[-1]))
-        W = [[cols[j][i] for j in range(d)] for i in range(d)]
-        det = frac_det(W, cfg)
-        if not det.is_zero():
-            rhs = D(cols[-1])
-            Winv = frac_mat_inverse(W, cfg)
-            coeffs = [
-                sum(
-                    (Winv[i][j] * (-rhs[j]) for j in range(1, d)),
-                    Winv[i][0] * (-rhs[0]),
-                )
-                for i in range(d)
-            ]
-            P = TwistedPoly(cfg, axis, coeffs + [FracElement(cfg.one())])
-            return vec, P
-        tried.append(vec)
-    raise CyclicSearchError(f"cyclic search bound exceeded after {len(tried)} candidates")
+            cols.append(apply_connection(M, axis, cols[-1]))
+        try:
+            Winv = _frac_inverse([[cols[j][i] for j in range(d)] for i in range(d)], cfg)
+        except ZeroDivisionError:
+            tried += 1
+            continue
+        rhs = apply_connection(M, axis, cols[-1])
+        coeffs = [
+            sum((Winv[i][j] * (-rhs[j]) for j in range(1, d)), Winv[i][0] * (-rhs[0]))
+            for i in range(d)
+        ]
+        return vec, TwistedPoly(cfg, axis, coeffs + [FracElement(cfg.one())])
+    raise CyclicSearchError(f"cyclic search bound exceeded after {tried} candidates")
 
 
 @dataclass(frozen=True)
@@ -630,14 +572,18 @@ def decompose_fiber(M: DiffModule, axis: str, r: Sequence, precision) -> list:
     projectors are matrices in the module's original basis, approximated to
     Laurent entries against the fiber; the residual is the exact Gauss
     valuation of ``proj^2 - proj`` there and is certified ``>= precision``
-    (escalating the working precision if a first pass falls short).
+    (escalating the working precision if a first pass falls short).  If the
+    last escalation still falls short, raises :class:`NonConvergence` with the
+    uncertified parts as ``factors`` and the least residual as ``residual``.
     """
     precision = Fraction(precision)
     for extra in (0, 8, 24):
         out = _decompose_fiber_once(M, axis, r, precision, extra)
-        if all(res is INF or res >= precision for _, _, res in out):
+        worst = min(res for _, _, res in out)
+        if worst is INF or worst >= precision:
             return out
-    return out
+    raise NonConvergence(f"projector residual {worst} below precision {precision}",
+                         factors=out, residual=worst)
 
 
 def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extra) -> list:
@@ -671,23 +617,11 @@ def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extr
     span = max(Fraction(0), -2 * P.min_valuation(r))
     cut = work_prec + span + 8 + extra
 
-    def Dv(vcol):
-        N = M.matrices[axis]
-        dv = [x.derive(axis) for x in vcol]
-        Nv = [
-            sum(
-                (FracElement(N[i][j]) * vcol[j] for j in range(1, d)),
-                FracElement(N[i][0]) * vcol[0],
-            )
-            for i in range(d)
-        ]
-        return [a + b for a, b in zip(dv, Nv)]
-
     basis_cols = [vec]
     for _ in range(d - 1):
-        basis_cols.append(Dv(basis_cols[-1]))
+        basis_cols.append(apply_connection(M, axis, basis_cols[-1]))
     W = _approx_mat([[basis_cols[j][i] for j in range(d)] for i in range(d)], r, cut)
-    Winv = frac_mat_inverse(W, cfg)
+    Winv = _frac_inverse(W, cfg)
 
     high_projectors = []
     Pop = opposite(P)
@@ -702,7 +636,7 @@ def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extr
         for i in range(d - k):
             cols.append(_coords_mod(P, Ahat, i))
         U = _approx_mat([[cols[j][i] for j in range(d)] for i in range(d)], r, cut)
-        Uinv = frac_mat_inverse(U, cfg)
+        Uinv = _frac_inverse(U, cfg)
         zero = FracElement(cfg.zero())
         sel = [[U[i][j] if j >= k else zero for j in range(d)] for i in range(d)]
         Pi_cyc = _approx_mat(mat_mul(sel, Uinv), r, cut)
@@ -711,11 +645,7 @@ def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extr
 
     # part projectors as nested differences: low-to-high ordering of splits
     projs = []
-    ident = [
-        [FracElement(cfg.one()) if i == j else FracElement(cfg.zero()) for j in range(d)]
-        for i in range(d)
-    ]
-    prev = ident
+    prev = _frac_identity(cfg, d)
     for Pi in high_projectors:
         diff = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(prev, Pi)]
         projs.append(diff)

@@ -17,19 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, prod
 from typing import Callable, List, Optional, Sequence
 
 from .modules import DiffModule
 from .profiles import RadiusProfile, build_radius_profile, decomposition_loci
 from .pwaffine import PiecewiseAffine, max_of_lines
 from .report import FAIL, NOT_APPLICABLE, PASS, Report
-from .valued import LaurentElement
+from .valued import LaurentElement, solve
 
 __all__ = [
     "AffineFunctional",
     "TRPSet",
-    "Cone",
     "PolyFunc",
     "UnimodularMatrix",
     "trp_membership",
@@ -221,15 +220,6 @@ def trp_membership(C: TRPSet, x) -> bool:
 
 def trp_interior(C: TRPSet, x) -> bool:
     return C.strictly_contains(x)
-
-
-def Cone(constraints: Sequence, dim: int) -> TRPSet:
-    """A rational polyhedral cone: constraints with zero constants."""
-    cs = []
-    for c in constraints:
-        f = c if isinstance(c, AffineFunctional) else AffineFunctional(c, 0)
-        cs.append(AffineFunctional(f.slope, 0))
-    return TRPSet(tuple(cs), dim)
 
 
 def angle_cone(C: TRPSet, x) -> TRPSet:
@@ -556,21 +546,12 @@ class UnimodularMatrix:
         return len(self.rows)
 
     def det(self) -> int:
-        n = self.n
-        M = [[Fraction(x) for x in row] for row in self.rows]
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((i for i in range(col, n) if M[i][col] != 0), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                M[col], M[piv] = M[piv], M[col]
-                det = -det
-            det *= M[col][col]
-            for i in range(col + 1, n):
-                f = M[i][col] / M[col][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[col])]
-        return int(det)
+        try:
+            _, sign, pivots = solve([[Fraction(x) for x in row] for row in self.rows],
+                                    [[] for _ in self.rows])
+        except ZeroDivisionError:
+            return 0
+        return int(prod(pivots, start=Fraction(sign)))
 
     def mul(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
         n = self.n
@@ -585,18 +566,9 @@ class UnimodularMatrix:
 
     def inverse(self) -> "UnimodularMatrix":
         n = self.n
-        M = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-             for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next(i for i in range(col, n) if M[i][col] != 0)
-            M[col], M[piv] = M[piv], M[col]
-            M[col] = [x / M[col][col] for x in M[col]]
-            for i in range(n):
-                if i != col and M[i][col] != 0:
-                    f = M[i][col]
-                    M[i] = [a - f * b for a, b in zip(M[i], M[col])]
-        rows = tuple(tuple(int(x) for x in row[n:]) for row in M)
-        return UnimodularMatrix(rows)
+        X, _, _ = solve([[Fraction(x) for x in row] for row in self.rows],
+                        [[int(i == j) for j in range(n)] for i in range(n)])
+        return UnimodularMatrix(tuple(tuple(int(x) for x in row) for row in X))
 
     def apply(self, vec: Sequence) -> tuple:
         return tuple(
@@ -740,23 +712,32 @@ def multidim_profile(
         raise ValueError("region dimension must match the geometric variable count")
     out = MultidimReport()
     for base_point, direction in directions:
-        a = tuple(int(x) for x in direction)
-        if a != _primitive(a):
-            raise ValueError(f"direction {a} is not primitive")
         if not C.contains(base_point):
             raise ValueError(f"base point {base_point} outside the region")
-        rng = C.segment_range(base_point, a)
-        if rng is None or rng[0] is None or rng[1] is None or rng[0] >= rng[1]:
-            raise ValueError("slice leaves the region or is degenerate")
-        tmin, tmax = rng
-        A = unimodular_completion(a)
-        Mp = toroidal_pullback(M, A)
-        rho0 = fiber_to_source(A, base_point)
-        window = (rho0[0] + tmin, rho0[0] + tmax)
-        profile = build_radius_profile(Mp, axis, "t1", window, list(rho0))
+        a, t_range, profile = _chord_profile(M, C, base_point, direction, axis)
         rep = _slice_report(profile)
-        out.slices.append(SliceResult(_fvec(base_point), a, (tmin, tmax), profile, rep))
+        out.slices.append(SliceResult(_fvec(base_point), a, t_range, profile, rep))
     return out
+
+
+def _chord_profile(M: DiffModule, C: TRPSet, point, direction, axis: str):
+    """Profile of ``M`` along the chord of ``C`` from ``point`` in a primitive direction.
+
+    Returns ``(direction, (tmin, tmax), profile)``; the profile runs along the
+    first coordinate of the toroidal pullback, over ``rho0 + [tmin, tmax]``.
+    """
+    a = tuple(int(x) for x in direction)
+    if a != _primitive(a):
+        raise ValueError(f"direction {a} is not primitive")
+    rng = C.segment_range(point, a)
+    if rng is None or rng[0] is None or rng[1] is None or rng[0] >= rng[1]:
+        raise ValueError("chord misses the region, is unbounded or is degenerate")
+    tmin, tmax = rng
+    A = unimodular_completion(a)
+    Mp = toroidal_pullback(M, A)
+    rho0 = fiber_to_source(A, point)
+    window = (rho0[0] + tmin, rho0[0] + tmax)
+    return a, (tmin, tmax), build_radius_profile(Mp, axis, "t1", window, list(rho0))
 
 
 def _slice_report(profile: RadiusProfile) -> Report:
@@ -804,28 +785,18 @@ def module_slice_oracle(M: DiffModule, C: TRPSet, level: int, scale: int = 1) ->
     Feeding this to :func:`reconstruct_polyhedral` recovers the polyhedral
     form of ``d! F_l`` over the region.
     """
-    from .pwaffine import PiecewiseAffine
 
     def oracle(point, direction):
-        a = _primitive(tuple(int(x) for x in direction))
-        if tuple(int(x) for x in direction) != a:
-            raise ValueError("direction must be primitive")
-        rng = C.segment_range(point, a)
-        if rng is None or rng[0] is None or rng[1] is None or rng[0] >= rng[1]:
-            raise ValueError("chord misses the region or is unbounded")
-        tmin, tmax = rng
-        A = unimodular_completion(a)
-        Mp = toroidal_pullback(M, A)
-        rho0 = fiber_to_source(A, point)
-        window = (rho0[0] + tmin, rho0[0] + tmax)
-        profile = build_radius_profile(Mp, "intrinsic", "t1", window, list(rho0))
+        _, (tmin, _), profile = _chord_profile(M, C, point, direction, "intrinsic")
+        window = profile.window
+        shift = window[0] - tmin  # window coordinate -> chord parameter
         pieces = profile.partial_sum(level)
         if not pieces or pieces[0][0] != window[0] or pieces[-1][1] != window[1]:
             raise ValueError("slice has capped cells: value uncertified")
         knots = [tmin]
         values = [pieces[0][3] * scale]
         for lo, hi, s, v in pieces:
-            knots.append(hi - rho0[0])
+            knots.append(hi - shift)
             values.append((v + s * (hi - lo)) * scale)
         return PiecewiseAffine(knots, values)
 

@@ -27,6 +27,8 @@ from .valued import (
     FracElement,
     LaurentElement,
     ValuationConfig,
+    solve,
+    term_valuation,
     valuation_function,
 )
 
@@ -185,24 +187,6 @@ class TwistedPoly:
             qc = [self.config.zero()] * (m + 1)
             qc[m] = c
             q = q + self._clone(qc)
-        return q, rem
-
-    def ldivmod(self, divisor: "TwistedPoly") -> Tuple["TwistedPoly", "TwistedPoly"]:
-        """Quotient and remainder with the divisor on the left: ``self = d*q + rem``."""
-        self._check_compatible(divisor)
-        if not divisor.is_monic():
-            raise ValueError("left division needs a monic divisor")
-        e = divisor.degree
-        rem = self
-        q = self._clone([])
-        while not rem.is_zero() and rem.degree >= e:
-            m = rem.degree - e
-            c = rem.coeffs[-1]
-            qc = [self.config.zero()] * (m + 1)
-            qc[m] = c
-            qpoly = self._clone(qc)
-            rem = rem - divisor * qpoly
-            q = q + qpoly
         return q, rem
 
     def min_valuation(self, r: Sequence):
@@ -444,12 +428,10 @@ def _truncate(coeff, r, cut):
     """Drop Laurent terms whose valuation at the working fiber exceeds ``cut``."""
     if not isinstance(coeff, LaurentElement):
         return coeff
-    kept = {}
-    for key, c in coeff.terms.items():
-        term = LaurentElement(coeff.config, {key: c})
-        if term.gauss_valuation(r) <= cut:
-            kept[key] = c
-    return LaurentElement(coeff.config, kept)
+    cfg = coeff.config
+    return LaurentElement(
+        cfg, {key: c for key, c in coeff.terms.items() if term_valuation(cfg, key, c, r) <= cut}
+    )
 
 
 def _laurent_approx(x, r: Sequence, cut):
@@ -466,8 +448,7 @@ def _laurent_approx(x, r: Sequence, cut):
         return num.config.zero()
     if len(den.terms) == 1:
         return _truncate(num * den ** -1, r, cut)
-    vals = sorted((LaurentElement(den.config, {k: c}).gauss_valuation(r), k, c)
-                  for k, c in den.terms.items())
+    vals = sorted((term_valuation(den.config, k, c, r), k, c) for k, c in den.terms.items())
     v0 = vals[0][0]
     if vals[1][0] == v0:
         return None
@@ -487,24 +468,6 @@ def _laurent_approx(x, r: Sequence, cut):
     return _truncate(num * m0inv * inv, r, cut)
 
 
-def _frac_solve(M, rhs):
-    """Exact solve of a square FracElement system by Gauss elimination."""
-    n = len(M)
-    A = [list(row) + [rhs[i]] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not A[i][col].is_zero()), None)
-        if piv is None:
-            raise NonConvergence("singular correction system")
-        A[col], A[piv] = A[piv], A[col]
-        inv = A[col][col].inverse()
-        A[col] = [x * inv for x in A[col]]
-        for i in range(n):
-            if i != col and not A[i][col].is_zero():
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[col])]
-    return [A[i][n] for i in range(n)]
-
-
 def robba_factor(
     P: TwistedPoly,
     r: Sequence,
@@ -520,14 +483,20 @@ def robba_factor(
     orientation) and the residual is the exact coefficientwise Gauss valuation
     of ``P - Q_low * Q_high`` at ``r``.
 
-    Each step solves the linearized correction ``A dB = E`` modulo right
-    multiples of ``B`` exactly over the fraction field and then
-    re-polynomializes the factor against the working fiber, so convergence is
-    Newton-quadratic from the polygon initializer.  For genuinely twisted
-    input the separated high side must be visible: every slope
-    ``>= split_slope`` must exceed the negated operator valuation of the
-    derivation at the fiber.  Untwisted (derivation-constant) input factors at
-    any strict gap.  Pass a list as ``trace`` to receive the residual history.
+    Starting from the polygon initializer, each step divides ``P = A B + E``
+    on the right, solves the correction ``sum_j dB_j (A T^j mod B) = E``
+    exactly over the fraction field, adds ``dB`` to ``B`` and
+    re-polynomializes it against the working fiber; only ``B`` is corrected.
+    The system treats the unknowns ``dB_j`` as commuting with ``A``.  That is
+    the exact linearization for untwisted input, where the residual doubles
+    per step (measured 1, 2, 4, ..., 64 on constant products at p = 3).  For
+    twisted input the step is only first-order and convergence is linear:
+    ``(T - t^-2)(T - t^-3)`` at p = 2, r = 1 gives the residuals -5, -4, -1,
+    1, 3, 5, 7, 9, 11, about +2 per step.  For genuinely twisted input the
+    separated high side must be visible: every slope ``>= split_slope`` must
+    exceed the negated operator valuation of the derivation at the fiber.
+    Untwisted (derivation-constant) input factors at any strict gap.  Pass a
+    list as ``trace`` to receive the residual history.
     """
     split_slope = Fraction(split_slope)
     precision = Fraction(precision)
@@ -577,7 +546,11 @@ def robba_factor(
             _, rem = twisted_mul(A, tj).rdivmod(B)
             cols.append([fr(rem.coeff(i)) for i in range(e)])
         M = [[cols[j][i] for j in range(e)] for i in range(e)]
-        delta = _frac_solve(M, [fr(E.coeff(i)) for i in range(e)])
+        try:
+            X, _, _ = solve(M, [[fr(E.coeff(i))] for i in range(e)])
+        except ZeroDivisionError:
+            raise NonConvergence("singular correction system") from None
+        delta = [row[0] for row in X]
         newc = [B.coeff(i) + delta[i] for i in range(e)] + [cfg.one()]
         approx = [_laurent_approx(fr(c) if not isinstance(c, LaurentElement) else c, r, cut)
                   if i < e else cfg.one()

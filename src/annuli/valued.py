@@ -33,6 +33,8 @@ __all__ = [
     "LaurentElement",
     "FracElement",
     "gauss_valuation",
+    "term_valuation",
+    "solve",
     "derive",
     "valuation_function",
     "is_unit_on_annulus",
@@ -387,12 +389,8 @@ class LaurentElement:
     def term_valuations(self, r: Sequence):
         cfg = self.config
         r = tuple(Fraction(x) for x in r)
-        for (e, i), c in self.terms.items():
-            yield (
-                ordp(c, cfg.p)
-                + sum((a * w for a, w in zip(e, cfg.u_weights)), Fraction(0))
-                + sum((a * x for a, x in zip(i, r)), Fraction(0))
-            )
+        for key, c in self.terms.items():
+            yield term_valuation(cfg, key, c, r)
 
     def __repr__(self):
         if not self.terms:
@@ -496,11 +494,6 @@ class FracElement:
         o = self._coerce(other)
         return o / self
 
-    def inverse(self) -> "FracElement":
-        if self.is_zero():
-            raise ZeroDivisionError
-        return FracElement(self.den, self.num)
-
     def derive(self, axis: str) -> "FracElement":
         n, d = self.num, self.den
         return FracElement(n.derive(axis) * d - n * d.derive(axis), d * d)
@@ -538,6 +531,23 @@ def _frac_normalize(num: LaurentElement, den: LaurentElement):
     return shift(num), shift(den)
 
 
+def term_valuation(cfg: ValuationConfig, key, c, r: Sequence) -> Fraction:
+    """Valuation ``ord_p(c) + e.w + i.r`` of the single term ``c * u^e * t^i``.
+
+    ``key`` is the exponent pair ``(e, i)``; ``c`` is a nonzero ``Fraction``
+    or ``int``.  Zero exponents are skipped, so ``r`` entries there are unread.
+    """
+    e, i = key
+    v = ordp(c, cfg.p)
+    for a, w in zip(e, cfg.u_weights):
+        if a:
+            v += a * w
+    for a, x in zip(i, r):
+        if a:
+            v += a * x
+    return v
+
+
 def gauss_valuation(x, r: Sequence) -> ValuationValue:
     """Minimum over monomials of ``ord_p(c) + e.w + i.r``; INF iff ``x == 0``.
 
@@ -553,6 +563,35 @@ def gauss_valuation(x, r: Sequence) -> ValuationValue:
     if x.is_zero():
         return INF
     return min(x.term_valuations(r))
+
+
+def solve(A, B):
+    """Gauss-Jordan solution of ``A X = B`` over a field (``bool``, ``*``, ``-``, ``1/x``).
+
+    Each column takes the first nonzero pivot, normalises the pivot row and
+    clears every other row.  ``FracElement`` has no canonical form, so this
+    order fixes the stored ``num``/``den`` of the result.  Returns
+    ``(X, sign, pivots)`` with ``det A = sign * prod(pivots)``; raises
+    ``ZeroDivisionError`` when ``A`` is singular.
+    """
+    n = len(A)
+    M = [list(a) + list(b) for a, b in zip(A, B)]
+    sign, pivots = 1, []
+    for col in range(n):
+        piv = next((i for i in range(col, n) if M[i][col]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            sign = -sign
+        pivots.append(M[col][col])
+        inv = 1 / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for i in range(n):
+            if i != col and M[i][col]:
+                f = M[i][col]
+                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
+    return [row[n:] for row in M], sign, pivots
 
 
 def derive(x, axis: str):
@@ -584,16 +623,12 @@ def valuation_function(
     frozen = list(frozen) if frozen else [Fraction(0)] * cfg.n_geom
     if len(frozen) != cfg.n_geom:
         raise ValueError("frozen vector length mismatch")
-    lines = []
-    for (e, i), c in x.terms.items():
-        const = ordp(c, cfg.p) + sum(
-            (a * w for a, w in zip(e, cfg.u_weights)), Fraction(0)
-        )
-        const += sum(
-            (Fraction(frozen[k]) * i[k] for k in range(cfg.n_geom) if k != idx),
-            Fraction(0),
-        )
-        lines.append((Fraction(i[idx]), const))
+    rest = [Fraction(v) for v in frozen]
+    rest[idx] = Fraction(0)
+    lines = [
+        (Fraction(key[1][idx]), term_valuation(cfg, key, c, rest))
+        for key, c in x.terms.items()
+    ]
     return min_of_lines(lines, lo, hi)
 
 

@@ -5,14 +5,17 @@ or ``-s``); a failure reads as the criterion number in the test name.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import annuli
 from annuli import (
     DiffModule,
     PolyFunc,
@@ -365,6 +368,9 @@ def test_acceptance_10_cli_determinism(tmp_path):
         ["loci", "--input", str(mpath), "--axis", "t1", "--geom", "t1",
          "--window", "1", "2"],
     ]
+    # the child process imports the same annuli package as this one
+    src = str(Path(annuli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     runs = []
     for _ in range(2):
         blobs = []
@@ -373,6 +379,7 @@ def test_acceptance_10_cli_determinism(tmp_path):
                 [sys.executable, "-m", "annuli.cli"] + argv,
                 capture_output=True,
                 check=True,
+                env=env,
             )
             blobs.append(proc.stdout)
         runs.append(b"\x00".join(blobs))

@@ -255,3 +255,51 @@ def test_polyhedral_module_backed(tmp_path, capsys):
     assert code == 0
     got = json.loads(out)
     assert got["functionals"] == [{"const": "4", "slope": [1, 0]}]
+
+
+@pytest.mark.parametrize("axis", ["t7", "u1", "t2"])
+def test_radii_unknown_axis_exits_1(tmp_path, capsys, axis):
+    path = write(tmp_path, "m.json", rank1_module_obj())
+    code, out, err = run(
+        capsys, ["radii", "--input", path, "--axis", axis, "--geom", "t1", "--window", "1", "2"]
+    )
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_radii_axis_not_carried_by_module_exits_1(tmp_path, capsys):
+    obj = dict(rank1_module_obj(), n_geom=2)
+    obj["matrices"] = {"t1": [[{"terms": [{"c": "1", "u": [], "t": [-2, 0]}]}]]}
+    path = write(tmp_path, "m.json", obj)
+    code, out, err = run(
+        capsys, ["radii", "--input", path, "--axis", "t2", "--geom", "t1", "--window", "1", "2"]
+    )
+    assert code == 1 and out == "" and "t2" in err
+
+
+def test_factor_inconsistent_residual_exits_2(tmp_path, capsys, monkeypatch):
+    import annuli.cli as cli
+
+    real = cli.robba_factor
+
+    def misreported(*args, **kwargs):
+        qlo, qhi, _ = real(*args, **kwargs)
+        return qlo, qhi, F(-100)
+
+    monkeypatch.setattr(cli, "robba_factor", misreported)
+    poly = {  # (T - t^-2)(T - t^-3), not split exactly at precision 3
+        "p": 2,
+        "u_weights": [],
+        "n_geom": 1,
+        "derivation": "t1",
+        "coeffs": [
+            {"terms": [{"c": "1", "u": [], "t": [-5]}, {"c": "3", "u": [], "t": [-4]}]},
+            {"terms": [{"c": "-1", "u": [], "t": [-2]}, {"c": "-1", "u": [], "t": [-3]}]},
+            {"terms": [{"c": "1", "u": [], "t": [0]}]},
+        ],
+    }
+    path = write(tmp_path, "p.json", poly)
+    code, out, err = run(
+        capsys,
+        ["factor", "--input", path, "--fiber", "1", "--split", "5/2", "--precision", "3"],
+    )
+    assert code == 2 and out == "" and err.startswith("error:")

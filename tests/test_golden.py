@@ -9,7 +9,6 @@ order that equal values would hide.
 """
 
 import json
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,11 +65,6 @@ CLI_CASES = {
 
 def _argv(name):
     return [str(INPUTS / f"{a[1:]}.json") if a.startswith("@") else a for a in CLI_CASES[name]]
-
-
-def run_cli(name, capsys):
-    code = main(_argv(name))
-    return code, capsys.readouterr().out
 
 
 # -- library goldens ---------------------------------------------------------------
@@ -144,7 +138,8 @@ LIB_CASES = {f.__name__[4:]: f for f in (
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_golden(name, capsys):
-    code, out = run_cli(name, capsys)
+    code = main(_argv(name))
+    out = capsys.readouterr().out
     exits = json.loads((GOLDEN / "cli" / "exit_codes.json").read_text(encoding="utf-8"))
     assert code == exits[name]
     assert out == (GOLDEN / "cli" / f"{name}.out").read_text(encoding="utf-8")
@@ -156,30 +151,18 @@ def test_library_golden(name):
         encoding="utf-8")
 
 
-class _Capture:
-    """Minimal stand-in for pytest's ``capsys`` when writing the goldens."""
-
-    def readouterr(self):
-        out = sys.stdout.getvalue()
-        sys.stdout.seek(0)
-        sys.stdout.truncate()
-        return type("Captured", (), {"out": out})
-
-
 if __name__ == "__main__":
+    import contextlib
     import io
 
     (GOLDEN / "cli").mkdir(exist_ok=True)
     (GOLDEN / "reprs").mkdir(exist_ok=True)
     exits = {}
-    real = sys.stdout
     for case in sorted(CLI_CASES):
-        sys.stdout = io.StringIO()
-        try:
-            exits[case], text = run_cli(case, _Capture())
-        finally:
-            sys.stdout = real
-        (GOLDEN / "cli" / f"{case}.out").write_text(text, encoding="utf-8", newline="")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            exits[case] = main(_argv(case))
+        (GOLDEN / "cli" / f"{case}.out").write_text(buf.getvalue(), encoding="utf-8", newline="")
     (GOLDEN / "cli" / "exit_codes.json").write_text(
         json.dumps(exits, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for case, fn in sorted(LIB_CASES.items()):

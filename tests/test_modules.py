@@ -21,7 +21,9 @@ from annuli import (
     tensor,
     visible_radii,
 )
+from annuli import modules
 from annuli.modules import RadiiMultiset, mat_mul
+from annuli.twisted import NonConvergence
 
 F = Fraction
 
@@ -321,3 +323,19 @@ def test_decompose_visible_vs_capped(cfg2):
         for j in range(2):
             want = cfg2.one() if i == j else cfg2.zero()
             assert s[i][j] == want
+
+
+def test_decompose_raises_when_escalation_falls_short(cfg2, monkeypatch):
+    short = [(RadiiMultiset.make([(F(3), 1, False)], "extrinsic"), [[cfg2.one()]], F(1))]
+    extras = []
+
+    def once(M, axis, r, precision, extra):
+        extras.append(extra)
+        return short
+
+    monkeypatch.setattr(modules, "_decompose_fiber_once", once)
+    M = rank_one(cfg2, {"t1": cfg2.t(1, -4)})
+    with pytest.raises(NonConvergence) as exc:
+        decompose_fiber(M, "t1", [F(1, 2)], F(6))
+    assert extras == [0, 8, 24]
+    assert exc.value.factors is short and exc.value.residual == F(1)

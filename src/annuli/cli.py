@@ -31,11 +31,14 @@ class InputError(Exception):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path} at line {e.lineno} column {e.colno}: {e.msg}")
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: top-level JSON value is a {type(obj).__name__}, not an object")
+    return obj
 
 
 def _emit(text: str, output: str = None):
@@ -49,7 +52,7 @@ def _emit(text: str, output: str = None):
 def _parse_frozen(s: str) -> list:
     if not s:
         return []
-    return [Fraction(x) for x in s.split(",")]
+    return [ser.parse_frac(x) for x in s.split(",")]
 
 
 def dec6(x: Fraction) -> str:
@@ -134,7 +137,7 @@ def _geometry_args(sub):
 def _build_profile_from_args(args):
     obj = _load_json(args.input)
     M = ser.module_from_obj(obj)
-    window = (Fraction(args.window[0]), Fraction(args.window[1]))
+    window = (ser.parse_frac(args.window[0]), ser.parse_frac(args.window[1]))
     frozen = _parse_frozen(args.frozen) or [Fraction(0)] * M.config.n_geom
     return build_radius_profile(M, args.axis, args.geom, window, frozen)
 
@@ -156,7 +159,7 @@ def cmd_verify(args) -> int:
         profile = ser.profile_from_obj(obj)
     else:
         M = ser.module_from_obj(obj)
-        window = (Fraction(args.window[0]), Fraction(args.window[1]))
+        window = (ser.parse_frac(args.window[0]), ser.parse_frac(args.window[1]))
         frozen = _parse_frozen(args.frozen) or [Fraction(0)] * M.config.n_geom
         profile = build_radius_profile(M, args.axis, args.geom, window, frozen)
     if profile.axis == "intrinsic":
@@ -197,7 +200,7 @@ def cmd_factor(args) -> int:
     r = _parse_frozen(args.fiber) or [Fraction(0)] * cfg.n_geom
     try:
         qlo, qhi, residual = robba_factor(
-            P, r, Fraction(args.split), Fraction(args.precision), budget=args.budget
+            P, r, ser.parse_frac(args.split), ser.parse_frac(args.precision), budget=args.budget
         )
     except FactorizationError as e:
         raise InputError(str(e))
@@ -293,8 +296,15 @@ def cmd_loci(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error code; argparse's 2 means verifier failure."""
+
+    def error(self, message):
+        self.exit(1, f"{self.format_usage()}error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="annuli", description=__doc__)
+    ap = _Parser(prog="annuli", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("radii", help="exact radius profile as CSV, JSON or SVG")
@@ -351,10 +361,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    except ValueError as e:
+    except (InputError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 

@@ -72,7 +72,7 @@ def mat_add(A, B):
 def mat_mul(A, B):
     n, m, k = len(A), len(B[0]), len(B)
     return [
-        [sum((A[i][l] * B[l][j] for l in range(k)), A[i][0] * B[0][j] * 0) for j in range(m)]
+        [sum((A[i][l] * B[l][j] for l in range(1, k)), A[i][0] * B[0][j]) for j in range(m)]
         for i in range(n)
     ]
 

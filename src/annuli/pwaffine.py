@@ -224,6 +224,11 @@ def min_of_lines(lines: Iterable, lo, hi) -> PiecewiseAffine:
     """Lower envelope of finitely many lines ``(slope, intercept)`` on ``[lo, hi]``.
 
     The envelope of ``x -> a*x + b`` over the given pairs, computed exactly.
+    Lines are swept by decreasing slope (lowest intercept first) through a
+    monotone stack: the envelope is concave, and a line is popped once its
+    successor crosses its predecessor no later than it does.  The crossings
+    of consecutive stack lines inside ``(lo, hi)`` are the knots.  Cost:
+    ``O(n log n)`` for the sort, ``O(n)`` for the sweep.
     """
     lo, hi = _frac(lo), _frac(hi)
     if lo >= hi:
@@ -231,27 +236,29 @@ def min_of_lines(lines: Iterable, lo, hi) -> PiecewiseAffine:
     lines = [(_frac(a), _frac(b)) for a, b in lines]
     if not lines:
         raise ValueError("need at least one line")
-    # keep the lowest intercept per slope
-    best: dict = {}
-    for a, b in lines:
-        if a not in best or b < best[a]:
-            best[a] = b
-    items = sorted(best.items())
-    # refine at every pairwise crossing; canonicalization drops the inactive ones
-    xs = {lo, hi}
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            a0, b0 = items[i]
-            a1, b1 = items[j]
-            x = (b1 - b0) / (a0 - a1)
-            if lo < x < hi:
-                xs.add(x)
-    knots = sorted(xs)
-
-    def env(x):
-        return min(a * x + b for a, b in items)
-
-    return PiecewiseAffine(knots, [env(x) for x in knots])
+    hull: list = []  # envelope lines, slopes decreasing
+    xs: list = []  # xs[j]: where hull[j + 1] takes over from hull[j]
+    for a, b in sorted(lines, key=lambda l: (-l[0], l[1])):
+        if hull and hull[-1][0] == a:
+            continue  # parallel to the line just pushed and not below it
+        while hull:
+            a0, b0 = hull[-1]
+            x = (b - b0) / (a0 - a)
+            if not xs or x > xs[-1]:
+                break
+            hull.pop()
+            xs.pop()
+        if hull:
+            xs.append(x)
+        hull.append((a, b))
+    knots = [lo] + [x for x in xs if lo < x < hi] + [hi]
+    values, j = [], 0
+    for x in knots:
+        while j < len(xs) and xs[j] < x:
+            j += 1
+        a, b = hull[j]
+        values.append(a * x + b)
+    return PiecewiseAffine(knots, values)
 
 
 def max_of_lines(lines: Iterable, lo, hi) -> PiecewiseAffine:

@@ -48,7 +48,10 @@ def parse_frac(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
     raise ValueError(f"expected an exact rational string, got {s!r}")
 
 
@@ -97,6 +100,8 @@ def module_to_obj(M: DiffModule) -> dict:
 
 
 def module_from_obj(obj: dict) -> DiffModule:
+    if "matrices" not in obj:
+        raise ValueError("module input has no 'matrices' key")
     cfg = config_from_obj(obj)
     mats = {
         a: [[laurent_from_obj(cfg, x) for x in row] for row in mat]

@@ -21,6 +21,8 @@ Elements are finite sums of monomials ``c * u^e * t^i`` with exact rational
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add, sub
 from typing import Mapping, Sequence, Union
 
 from .pwaffine import PiecewiseAffine, min_of_lines
@@ -251,6 +253,13 @@ class LaurentElement:
         self.terms = clean
         self._key_cache = None
 
+    @classmethod
+    def _trusted(cls, config: ValuationConfig, terms: dict) -> "LaurentElement":
+        """Wrap ``terms`` without re-validation: int-tuple keys, nonzero Fractions."""
+        self = object.__new__(cls)
+        self.config, self.terms, self._key_cache = config, terms, None
+        return self
+
     @property
     def _key(self):
         if self._key_cache is None:
@@ -290,13 +299,13 @@ class LaurentElement:
             return NotImplemented
         out = dict(self.terms)
         for k, c in o.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return LaurentElement(self.config, out)
+            out[k] = out[k] + c if k in out else c
+        return LaurentElement._trusted(self.config, {k: c for k, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentElement(self.config, {k: -c for k, c in self.terms.items()})
+        return LaurentElement._trusted(self.config, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, FracElement):
@@ -310,20 +319,28 @@ class LaurentElement:
         return (-self) + other
 
     def __mul__(self, other):
+        """Exact product over integer numerators: each factor is scaled once by the
+        lcm ``L`` of its denominators, term pairs accumulate as ints in schoolbook
+        order, and each output coefficient is built once as ``Fraction(n, L1 * L2)``.
+        Cost: one int multiply-add per pair of terms, one gcd per output term.
+        """
         if isinstance(other, FracElement):
             return FracElement(self) * other
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict = {}
-        for (e1, i1), c1 in self.terms.items():
-            for (e2, i2), c2 in o.terms.items():
-                k = (
-                    tuple(a + b for a, b in zip(e1, e2)),
-                    tuple(a + b for a, b in zip(i1, i2)),
-                )
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return LaurentElement(self.config, out)
+        L1, xs = _int_terms(self.terms)
+        L2, ys = _int_terms(o.terms)
+        acc: dict = {}
+        get = acc.get
+        for (e1, i1), n1 in xs:
+            for (e2, i2), n2 in ys:
+                k = (tuple(map(add, e1, e2)), tuple(map(add, i1, i2)))
+                acc[k] = get(k, 0) + n1 * n2
+        L = L1 * L2
+        return LaurentElement._trusted(
+            self.config, {k: Fraction(n, L) for k, n in acc.items() if n}
+        )
 
     __rmul__ = __mul__
 
@@ -402,6 +419,12 @@ class LaurentElement:
             part += [f"t{k+1}^{x}" for k, x in enumerate(i) if x]
             bits.append("*".join(part))
         return " + ".join(bits)
+
+
+def _int_terms(terms: dict):
+    """``(L, [(key, c * L)])`` with ``L`` the lcm of the coefficient denominators."""
+    L = lcm(*(c.denominator for c in terms.values()))
+    return L, [(k, c.numerator * (L // c.denominator)) for k, c in terms.items()]
 
 
 class FracElement:
@@ -517,13 +540,11 @@ def _frac_normalize(num: LaurentElement, den: LaurentElement):
     lead = den._key[0][1]  # coefficient of the lexicographically least den term
 
     def shift(el):
-        return LaurentElement(
+        return LaurentElement._trusted(
             cfg,
             {
-                (
-                    tuple(a - b for a, b in zip(e, e_min)),
-                    tuple(a - b for a, b in zip(i, i_min)),
-                ): c / lead
+                (tuple(map(sub, e, e_min)), tuple(map(sub, i, i_min))):
+                    c if lead == 1 else c / lead
                 for (e, i), c in el.terms.items()
             },
         )

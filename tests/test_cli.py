@@ -303,3 +303,35 @@ def test_factor_inconsistent_residual_exits_2(tmp_path, capsys, monkeypatch):
         ["factor", "--input", path, "--fiber", "1", "--split", "5/2", "--precision", "3"],
     )
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_usage_error_exits_1_and_verifier_failure_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "p.json", {"p": 2, "derivation": "t1", "coeffs": []})
+    with pytest.raises(SystemExit) as exc:  # argparse reads "-1/2" as an option
+        main(["factor", "--input", path, "--split", "-1/2", "--precision", "3"])
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    profile = {
+        "axis": "t1", "kind": "extrinsic", "p": 2, "rank": 1, "window": ["0", "1"],
+        "axis_weight": None,
+        "cells": [{"lo": "0", "hi": "1", "visible": [["1", "3"]], "capped": 0, "cap": ["0", "1"]}],
+    }
+    path = write(tmp_path, "prof.json", profile)
+    assert run(capsys, ["verify", "--input", path, "--mode", "disc"])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "obj, window, named",
+    [
+        ([rank1_module_obj()], ["1", "2"], "list"),  # top-level JSON list
+        ({"rank": 1, "p": 2, "n_geom": 1}, ["1", "2"], "'matrices'"),
+        (rank1_module_obj(), ["1/0", "2"], "'1/0'"),
+    ],
+    ids=["top_level_list", "no_matrices", "zero_denominator_window"],
+)
+def test_bad_input_exits_1_naming_it(tmp_path, capsys, obj, window, named):
+    path = write(tmp_path, "m.json", obj)
+    code, out, err = run(
+        capsys, ["radii", "--input", path, "--axis", "t1", "--window", *window]
+    )
+    assert code == 1 and out == "" and err.startswith("error:") and named in err

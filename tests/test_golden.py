@@ -15,9 +15,12 @@ from pathlib import Path
 import pytest
 
 from annuli import ValuationConfig, direct_sum, rank_one
+from annuli import serialize as ser
 from annuli.cli import main
 from annuli.modules import DiffModule, cyclic_vector, decompose_fiber
-from annuli.twisted import TwistedPoly, robba_factor, twisted_mul
+from annuli.polyhedral import TRPSet, _slice_report, multidim_profile
+from annuli.profiles import ProfileCell, RadiusProfile, build_radius_profile, verify_variation
+from annuli.twisted import TwistedPoly, robba_factor, twisted_mul, verify_newton_properties
 
 F = Fraction
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -127,9 +130,123 @@ def lib_robba_trace():
     return "\n".join(repr(x) for x in (trace, qlo, qhi, res))
 
 
+def _profile(rank, cells, p=2, axis="t1", weight=None, cap=(0, 1)):
+    """Hand-built profile; ``cells`` holds ``(lo, hi, [(slope, value_at_lo), ...])``."""
+    cap = (F(cap[0]), F(cap[1]))
+    pcells = tuple(
+        ProfileCell(F(lo), F(hi), tuple((F(s), F(v)) for s, v in vis), rank - len(vis), cap)
+        for lo, hi, vis in cells
+    )
+    return RadiusProfile(axis, "extrinsic", p, rank, (pcells[0].lo, pcells[-1].hi), pcells,
+                         weight)
+
+
+def _module_profile(name, axis, window):
+    M = ser.module_from_obj(json.loads((INPUTS / f"{name}.json").read_text(encoding="utf-8")))
+    return build_radius_profile(M, axis, "t1", tuple(F(x) for x in window))
+
+
+def _base_twists_profile():
+    c = _cfg(3, (F(1, 2),))
+    M = direct_sum(*(rank_one(c, {"t1": c.t(1, -2), "u1": c.u(1, k)}) for k in (-2, -3)))
+    return build_radius_profile(M, "u1", "t1", (F(-2), F(2)))
+
+
+def lib_verifier_reports():
+    """Every clause of the three verifiers on module data and on a hand-built corpus.
+
+    The corpus makes each clause fail (one clause per case), pass, and be not
+    applicable wherever the clause has that status.  ``verify_variation`` is
+    recorded in full, witnesses included; ``verify_newton_properties`` and
+    ``_slice_report`` as ``(name, status)`` pairs.  The slice pairs are grouped
+    by clause name (stable), because the slice report of this version adds
+    its FAILs in the order of the partial-sum index across both clauses.
+    """
+    variation = [
+        ("twist2 t1 annulus", _module_profile("twist2", "t1", (1, 2)), "annulus", "geometric"),
+        ("twist2 t1 disc", _module_profile("twist2", "t1", (1, 2)), "disc", "geometric"),
+        ("twist2 intrinsic", _module_profile("twist2", "intrinsic", ("1/2", "5/2")), "annulus",
+         "intrinsic"),
+        ("upper2 t1 disc", _module_profile("upper2", "t1", (0, 2)), "disc", "geometric"),
+        ("twist3_p3 t1", _module_profile("twist3_p3", "t1", ("1/2", 3)), "annulus", "geometric"),
+        ("base_u1 u1", _module_profile("base_u1", "u1", (0, 2)), "annulus", "base"),
+        ("base_u1 intrinsic", _module_profile("base_u1", "intrinsic", (0, 2)), "disc",
+         "intrinsic"),
+        ("u^-2 + u^-3 twists at p = 3, u1", _base_twists_profile(), "annulus", "base"),
+        ("continuity jump", _profile(1, [(0, 1, [(-1, 3)]), (1, 2, [(-1, 5)])]), "annulus",
+         "geometric"),
+        ("convexity drop", _profile(1, [(0, 1, [(2, 3)]), (1, 2, [(1, 5)])]), "annulus",
+         "geometric"),
+        ("non-member slope, nothing separated",
+         _profile(2, [(0, 1, [("1/3", 1)])], cap=("1/3", 1)), "annulus", "geometric"),
+        ("non-integral separated slope", _profile(2, [(0, 1, [("1/2", 3), ("1/2", 1)])]),
+         "annulus", "geometric"),
+        ("disc monotonicity", _profile(1, [(0, 1, [(1, 3)])]), "disc", "geometric"),
+        ("fully capped", _profile(2, [(0, 1, []), (1, 2, [])]), "disc", "geometric"),
+        ("base axis at level 1", _profile(1, [(0, 1, [("1/2", "3/4")])], axis="u1", weight=F(0)),
+         "annulus", "base"),
+        ("base axis, separated slope outside p^-0 Z",
+         _profile(2, [(0, 1, [("1/2", 5), ("1/2", 3)])], axis="u1", weight=F(0)), "annulus",
+         "base"),
+    ]
+    lines = []
+    for name, prof, mode, axis_class in variation:
+        rep = verify_variation(prof, mode, axis_class, prof.p)
+        lines.append(f"verify_variation {name}: " + json.dumps(rep.as_dict()))
+
+    c = _cfg(2)
+    t = c.t(1)
+
+    def poly(*coeffs):
+        return TwistedPoly(c, "t1", list(coeffs))
+
+    newton = [
+        ("T^2 + T + t disc", poly(t, c.one(), c.one()), (-1, 1), True, None),
+        ("T^2 + T + t disc, passing truncation", poly(t, c.one(), c.one()), (-1, 1), True,
+         (1, 0)),
+        ("T^2 + t^-1 T + t", poly(t, c.t(1, -1), c.one()), (-1, 1), False, None),
+        ("T + t^-1 disc", poly(c.t(1, -1), c.one()), (0, 1), True, None),
+        ("T + t disc, failing truncation", poly(t, c.one()), (-1, 1), True, (-1, 0)),
+        ("non-monic 2T + 1 disc", poly(c.one(), c.scalar(2)), (0, 1), True, None),
+        ("zero constant term T^3 + T^2 + t T", poly(c.zero(), t, c.one(), c.one()), (-1, 1), True,
+         None),
+        ("degenerate T", poly(c.zero(), c.one()), (0, 1), True, None),
+    ]
+    for name, P, window, disc, trunc in newton:
+        rep = verify_newton_properties(P, "t1", window, disc=disc, truncation=trunc)
+        lines.append(f"verify_newton_properties {name}: "
+                     + json.dumps([[r.name, r.status] for r in rep.results]))
+
+    c2 = _cfg(2, (), 2)
+
+    def bimonomial(a, b):
+        return DiffModule(c2, 1, {"t1": [[c2.scalar(a) * c2.t(1, -1)]],
+                                  "t2": [[c2.scalar(b) * c2.t(2, -1)]]}, check=False)
+
+    box = TRPSet.box([(1, 2), (1, 2)])
+    dirs = [((F(1), F(1)), (1, 0)), ((F(1), F(1)), (0, 1)), ((F(1), F(1)), (1, 1))]
+    slices = [
+        (f"{label} direction {d}", s.profile)
+        for label, M in (("bimonomial", bimonomial(F(1, 2), F(1, 4))),
+                         ("two bimonomials", direct_sum(bimonomial(F(1, 2), F(1, 4)),
+                                                        bimonomial(F(1, 8), F(1, 16)))))
+        for (_, d), s in zip(dirs, multidim_profile(M, box, dirs).slices)
+    ]
+    slices += [
+        ("convexity drop", _profile(1, [(0, 1, [(2, 3)]), (1, 2, [(1, 5)])])),
+        ("2!*F_1 slope not integral", _profile(2, [(0, 1, [("1/3", 5), ("-1/3", 1)])])),
+        ("fully capped", _profile(2, [(0, 1, [])])),
+    ]
+    for name, prof in slices:
+        pairs = sorted(([r.name, r.status] for r in _slice_report(prof).results),
+                       key=lambda r: r[0])
+        lines.append(f"_slice_report {name}: " + json.dumps(pairs))
+    return "\n".join(lines)
+
+
 LIB_CASES = {f.__name__[4:]: f for f in (
     lib_twist2_charpoly, lib_upper2_charpoly, lib_twist3_p3_charpoly,
-    lib_two_variable_charpolys, lib_decompose_fiber, lib_robba_trace,
+    lib_two_variable_charpolys, lib_decompose_fiber, lib_robba_trace, lib_verifier_reports,
 )}
 
 

@@ -471,16 +471,13 @@ def _radii_from_polygon(np_: NewtonPolygon, tau: Fraction, omega: Fraction,
     return RadiiMultiset.make(entries, "intrinsic" if intrinsic else "extrinsic")
 
 
-def visible_radii(M: DiffModule, axis: str, r: Sequence, intrinsic: bool = False,
-                  charpoly: TwistedPoly = None) -> RadiiMultiset:
+def visible_radii(M: DiffModule, axis: str, r: Sequence, intrinsic: bool = False) -> RadiiMultiset:
     """Subsidiary log-radii at a fiber from the characteristic polygon.
 
     Hull slopes strictly inside the visible range are reported exactly; the
-    remaining rank is one capped entry.  Pass a precomputed ``charpoly`` to
-    amortize the cyclic-vector search across fibers.
+    remaining rank is one capped entry.
     """
-    if charpoly is None:
-        _, charpoly = cyclic_vector(M, axis)
+    _, charpoly = cyclic_vector(M, axis)
     np_ = newton_polygon(charpoly, r)
     tau = M.config.operator_valuation(axis, r)
     return _radii_from_polygon(np_, tau, M.config.omega, M.rank, intrinsic)

@@ -17,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, prod
+from math import factorial, gcd, prod
 from typing import Callable, List, Optional, Sequence
 
 from .modules import DiffModule
 from .profiles import RadiusProfile, build_radius_profile, decomposition_loci
 from .pwaffine import PiecewiseAffine, max_of_lines
-from .report import FAIL, NOT_APPLICABLE, PASS, Report
+from .report import Report, check_convex, check_integral, clause, named
 from .valued import LaurentElement, solve
 
 __all__ = [
@@ -64,10 +64,6 @@ class AffineFunctional:
 
     def __call__(self, x) -> Fraction:
         return sum((a * v for a, v in zip(self.slope, _fvec(x))), self.const)
-
-    @property
-    def is_integral(self) -> bool:
-        return self.const.denominator == 1
 
     def homogeneous(self) -> "AffineFunctional":
         return AffineFunctional(self.slope, 0)
@@ -365,30 +361,22 @@ def _probe_gradient(oracle, C: TRPSet, y, n: int):
         yy = tuple(Fraction(a) + b for a, b in zip(y, nd))
         if not C.strictly_contains(yy):
             continue
-        grads = []
-        vals = []
-        ok = True
+        grads, vals = [], []
         for e in axes:
             pa = oracle(yy, e)
-            if any(b == 0 for b in pa.breakpoints()):
-                ok = False
-                break
             pieces = [p for p in pa.pieces() if p[0] <= 0 <= p[1]]
-            if not pieces:
-                ok = False
-                break
+            if any(b == 0 for b in pa.breakpoints()) or not pieces:
+                break  # a kink or the boundary at yy: try the next nudge
             lo, hi, s, v0 = pieces[0]
             grads.append(s)
             vals.append(v0 + s * (0 - lo))
-        if not ok:
-            continue
-        if any(v != vals[0] for v in vals):
-            raise OracleInconsistency("oracle value disagrees between directions")
-        g = grads
-        if any(x.denominator != 1 for x in g):
-            raise OracleInconsistency(f"non-integer slope {g} at {yy}")
-        b = vals[0] - sum(a * c for a, c in zip(g, yy))
-        return AffineFunctional(tuple(int(x) for x in g), b), vals[0]
+        else:
+            if any(v != vals[0] for v in vals):
+                raise OracleInconsistency("oracle value disagrees between directions")
+            if any(x.denominator != 1 for x in grads):
+                raise OracleInconsistency(f"non-integer slope {grads} at {yy}")
+            b = vals[0] - sum(a * c for a, c in zip(grads, yy))
+            return AffineFunctional(tuple(int(x) for x in grads), b), vals[0]
     return None
 
 
@@ -741,39 +729,20 @@ def _chord_profile(M: DiffModule, C: TRPSet, point, direction, axis: str):
 
 
 def _slice_report(profile: RadiusProfile) -> Report:
-    rep = Report()
-    import math as _math
+    """Per-slice clauses, shared with :func:`annuli.profiles.verify_variation`.
 
+    "convexity" of every ``F_i``, then "polyhedrality": on every definite
+    piece the slope of ``d! F_i`` (of ``F_d`` itself for ``i = d``) is an
+    integer.  Both are not applicable on a fully capped slice.
+    """
+    rep = Report()
     d = profile.rank
-    dfact = _math.factorial(d)
-    any_definite = False
-    ok_convex = True
-    ok_slopes = True
-    for i in range(1, d + 1):
-        pieces = profile.partial_sum(i)
-        if pieces:
-            any_definite = True
-        for (l0, h0, s0, _), (l1, h1, s1, _) in zip(pieces, pieces[1:]):
-            if h0 == l1 and s1 < s0:
-                rep.add("convexity", FAIL, f"F_{i} slope drops at r={h0}")
-                ok_convex = False
-        scale = dfact if i < d else 1
-        for lo, hi, s, _ in pieces:
-            if (s * scale).denominator != 1:
-                rep.add(
-                    "polyhedrality",
-                    FAIL,
-                    f"{scale}*F_{i} slope {s * scale} on [{lo},{hi}] not integral",
-                )
-                ok_slopes = False
-    if not any_definite:
-        rep.add("convexity", NOT_APPLICABLE, "fully capped slice")
-        rep.add("polyhedrality", NOT_APPLICABLE, "fully capped slice")
-    else:
-        if ok_convex:
-            rep.add("convexity", PASS)
-        if ok_slopes:
-            rep.add("polyhedrality", PASS)
+    Fs = named("F", [profile.partial_sum(i) for i in range(1, d + 1)])
+    clause(rep, "convexity", check_convex(Fs), "fully capped slice")
+    scale = factorial(d)
+    clause(rep, "polyhedrality",
+           check_integral(Fs[:-1], scale, f"in (1/{scale})Z") + check_integral(Fs[-1:]),
+           "fully capped slice")
     return rep
 
 

@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .modules import DiffModule, cyclic_vector
-from .report import FAIL, NOT_APPLICABLE, PASS, Report
+from .report import (FAIL, NOT_APPLICABLE, PASS, Report, Skip, check_convex, check_integral,
+                     check_membership, check_nonincreasing, clause, named)
 from .twisted import slope_functions
 from .valued import omega_val
 
@@ -46,6 +47,21 @@ class ProfileCell:
         s, v = self.visible[i]
         return v + s * (x - self.lo)
 
+    def partial(self, i: int) -> tuple:
+        """Piece ``(lo, hi, slope, value_at_lo)`` of ``F_i = f_1 + ... + f_i``."""
+        s = sum((self.visible[j][0] for j in range(i)), Fraction(0))
+        v = sum((self.visible[j][1] for j in range(i)), Fraction(0))
+        return (self.lo, self.hi, s, v)
+
+    def gap(self, i: int) -> tuple:
+        """``f_i - f_{i+1}`` (``f_i`` minus the cap when ``m == i``) on the cell.
+
+        Returns ``(slope, value at lo, value at hi)``; needs ``m >= i``.
+        """
+        (s, v), (gs, gv) = self.visible[i - 1], (self.cap if self.m == i else self.visible[i])
+        ds, dv = s - gs, v - gv
+        return ds, dv, dv + ds * (self.hi - self.lo)
+
     @property
     def m(self) -> int:
         return len(self.visible)
@@ -61,39 +77,9 @@ class RadiusProfile:
     cells: tuple
     axis_weight: Optional[Fraction] = None  # w_j for base axes
 
-    def function(self, i: int) -> list:
-        """Affine pieces ``(lo, hi, slope, value_at_lo)`` of ``f_i`` (1-based)."""
-        return [
-            (c.lo, c.hi, c.visible[i - 1][0], c.visible[i - 1][1])
-            for c in self.cells
-            if c.m >= i
-        ]
-
     def partial_sum(self, i: int) -> list:
         """Affine pieces of ``F_i = f_1 + ... + f_i`` where all terms are definite."""
-        out = []
-        for c in self.cells:
-            if c.m >= i:
-                s = sum((c.visible[j][0] for j in range(i)), Fraction(0))
-                v = sum((c.visible[j][1] for j in range(i)), Fraction(0))
-                out.append((c.lo, c.hi, s, v))
-        return out
-
-    def definite_runs(self, i: int) -> list:
-        """Maximal inclusive cell-index ranges where ``f_i`` is definite."""
-        runs = []
-        start = None
-        for idx, c in enumerate(self.cells):
-            if c.m >= i:
-                if start is None:
-                    start = idx
-            else:
-                if start is not None:
-                    runs.append((start, idx - 1))
-                    start = None
-        if start is not None:
-            runs.append((start, len(self.cells) - 1))
-        return runs
+        return [c.partial(i) for c in self.cells if c.m >= i]
 
     def eval_visible(self, x) -> list:
         """Visible values at a point interior to some cell, nonincreasing."""
@@ -251,18 +237,22 @@ def _combine_intrinsic(parts: List[RadiusProfile], M) -> RadiusProfile:
 # -- verifier -----------------------------------------------------------------
 
 
-def _unit_fraction_slope(s: Fraction, d: int, scale: int = 1) -> bool:
-    return any((s * k * scale).denominator == 1 for k in range(1, d + 1))
+_BASE_SKIP = Skip("f_i not above p^-n omega + w for n < 64")
 
 
 def verify_variation(profile: RadiusProfile, mode: str, axis_class: str, p: int) -> Report:
     """Check the variation clauses on an exact profile, cell by cell.
 
-    Clauses: structural continuity on definite runs; convexity of each
-    ``F_i``; slope membership (``F_i`` slopes integral wherever ``i`` is
-    separated for geometric/intrinsic axes, in ``p^-n Z`` at the cell's level
-    for base axes; ``f_i`` slopes in ``U_k (1/k) Z``); and nonpositive ``F_i``
-    slopes in disc mode.  Capped cells are never evaluated.
+    Clauses, in order: "continuity" of each ``f_i`` across adjacent definite
+    cells; then the clauses shared with :func:`annuli.twisted.verify_newton_properties`
+    and the slice report of :mod:`annuli.polyhedral`: "convexity" of each
+    ``F_i``; "slope membership" of the ``f_i`` slopes in ``U_k (1/k) Z``;
+    "integrality" of the ``F_i`` slopes wherever ``i`` is separated
+    (``i = rank`` or ``f_i > f_{i+1}`` somewhere on the cell); and
+    "monotonicity", nonpositive ``F_i`` slopes, in disc mode.  On base axes
+    (``p > 0``) slope membership and integrality scale by ``p^n`` at the
+    cell's level ``n``; a piece whose level is not found is skipped, and the
+    PASS witness counts it.  Capped cells are never evaluated.
     """
     if mode not in ("disc", "annulus"):
         raise ValueError("mode must be disc or annulus")
@@ -271,158 +261,52 @@ def verify_variation(profile: RadiusProfile, mode: str, axis_class: str, p: int)
     rep = Report()
     d = profile.rank
     cells = profile.cells
+    base = axis_class == "base" and p > 0
+    clause(rep, "continuity", [
+        f"f_{i} jumps at r={a.hi}: {a.value(i - 1, a.hi)} vs {b.visible[i - 1][1]}"
+        for i in range(1, d + 1)
+        for a, b in zip(cells, cells[1:])
+        if a.m >= i and b.m >= i and a.value(i - 1, a.hi) != b.visible[i - 1][1]
+    ])
+    Fs = named("F", [profile.partial_sum(i) for i in range(1, d + 1)])
+    clause(rep, "convexity", check_convex(Fs), "no definite cells")
 
-    # continuity on definite runs
-    ok = True
+    members, integral = [], []
     for i in range(1, d + 1):
-        for s0, s1 in zip(cells, cells[1:]):
-            if s0.m >= i and s1.m >= i:
-                left = s0.value(i - 1, s0.hi)
-                right = s1.visible[i - 1][1]
-                if left != right:
-                    rep.add(
-                        "continuity",
-                        FAIL,
-                        f"f_{i} jumps at r={s0.hi}: {left} vs {right}",
-                    )
-                    ok = False
-    if ok:
-        rep.add("continuity", PASS)
-
-    # convexity of F_i across definite runs
-    ok = True
-    evaluated = False
-    for i in range(1, d + 1):
-        pieces = profile.partial_sum(i)
-        if pieces:
-            evaluated = True
-        for (l0, h0, sl0, _), (l1, h1, sl1, _) in zip(pieces, pieces[1:]):
-            if h0 == l1 and sl1 < sl0:
-                rep.add("convexity", FAIL, f"F_{i} slope drops {sl0} -> {sl1} at r={h0}")
-                ok = False
-    if not evaluated:
-        rep.add("convexity", NOT_APPLICABLE, "no definite cells")
-    elif ok:
-        rep.add("convexity", PASS)
-
-    # slope membership for f_i
-    ok = True
-    evaluated = False
-    for i in range(1, d + 1):
-        for lo, hi, s, _ in profile.function(i):
-            evaluated = True
-            scale = 1
-            if axis_class == "base" and p > 0:
-                n = _base_level(profile, i, lo, hi, p)
-                if n is None:
-                    continue
-                scale = p ** n
-            if not _unit_fraction_slope(s, d, scale):
-                rep.add(
-                    "slope membership",
-                    FAIL,
-                    f"f_{i} slope {s} on [{lo},{hi}] outside U_k (1/{scale}k)Z",
-                )
-                ok = False
-    if not evaluated:
-        rep.add("slope membership", NOT_APPLICABLE, "no definite cells")
-    elif ok:
-        rep.add("slope membership", PASS)
-
-    # integrality of F_i slopes at separation
-    ok = True
-    evaluated = False
-    for i in range(1, d + 1):
-        for idx, c in enumerate(cells):
-            if c.m < i:
-                continue
-            sep = _separated(profile, idx, i)
-            if not sep:
-                continue
-            evaluated = True
-            s = sum((c.visible[j][0] for j in range(i)), Fraction(0))
-            if axis_class in ("geometric", "intrinsic") or p == 0:
-                if s.denominator != 1:
-                    rep.add(
-                        "integrality",
-                        FAIL,
-                        f"F_{i} slope {s} on [{c.lo},{c.hi}] not integral at separation",
-                    )
-                    ok = False
+        for c in (c for c in cells if c.m >= i):
+            f = (c.lo, c.hi, *c.visible[i - 1])
+            n = _base_level(profile, f, p) if base else 0
+            sep = _separated(c, i, d)
+            if n is None:
+                members.append(_BASE_SKIP)
+                if sep:
+                    integral.append(_BASE_SKIP)
             else:
-                n = _base_level(profile, i, c.lo, c.hi, p)
-                if n is None:
-                    continue
-                if (s * p ** n).denominator != 1:
-                    rep.add(
-                        "integrality",
-                        FAIL,
-                        f"F_{i} slope {s} on [{c.lo},{c.hi}] not in p^-{n} Z",
-                    )
-                    ok = False
-    if not evaluated:
-        rep.add("integrality", NOT_APPLICABLE, "no separated cells")
-    elif ok:
-        rep.add("integrality", PASS)
-
-    # monotonicity in disc mode
+                members += check_membership([(f"f_{i}", [f])], d, p ** n)
+                if sep:
+                    where = f"in p^-{n} Z" if base else "integral at separation"
+                    integral += check_integral([(f"F_{i}", [c.partial(i)])], p ** n, where)
+    clause(rep, "slope membership", members, "no definite cells")
+    clause(rep, "integrality", integral, "no separated cells")
     if mode == "disc":
-        ok = True
-        evaluated = False
-        for i in range(1, d + 1):
-            for lo, hi, s, _ in profile.partial_sum(i):
-                evaluated = True
-                if s > 0:
-                    rep.add(
-                        "monotonicity",
-                        FAIL,
-                        f"F_{i} slope {s} > 0 on [{lo},{hi}]",
-                    )
-                    ok = False
-        if not evaluated:
-            rep.add("monotonicity", NOT_APPLICABLE, "no definite cells")
-        elif ok:
-            rep.add("monotonicity", PASS)
+        clause(rep, "monotonicity", check_nonincreasing(Fs), "no definite cells")
     else:
         rep.add("monotonicity", NOT_APPLICABLE, "annulus mode")
     return rep
 
 
-def _separated(profile: RadiusProfile, cell_idx: int, i: int) -> bool:
-    """True when ``f_i > f_{i+1}`` holds somewhere on the open cell (or i = rank)."""
-    c = profile.cells[cell_idx]
-    if i == profile.rank:
-        return True
-    if c.m < i:
-        return False
-    if c.m == i:
-        # the (i+1)-st value is capped; a visible value strictly beats the cap
-        si, vi = c.visible[i - 1]
-        cs, cv = c.cap
-        da = vi - cv
-        db = (vi + si * (c.hi - c.lo)) - (cv + cs * (c.hi - c.lo))
-        return da > 0 or db > 0
-    si, vi = c.visible[i - 1]
-    sj, vj = c.visible[i]
-    da = vi - vj
-    db = (vi - vj) + (si - sj) * (c.hi - c.lo)
-    return da > 0 or db > 0
+def _separated(c: ProfileCell, i: int, rank: int) -> bool:
+    """True when ``i = rank`` or ``f_i > f_{i+1}`` somewhere on the open cell."""
+    return i == rank or max(c.gap(i)[1:]) > 0
 
 
-def _base_level(profile: RadiusProfile, i: int, lo, hi, p: int):
-    """Least ``n >= 0`` with ``f_i > p^-n * omega + w`` throughout ``[lo, hi]``."""
+def _base_level(profile: RadiusProfile, piece: tuple, p: int):
+    """Least ``n`` in ``0..63`` with ``f_i > p^-n * omega + w`` on a piece of ``f_i``."""
+    lo, hi, s, v = piece
     w = profile.axis_weight if profile.axis_weight is not None else Fraction(0)
     omega = omega_val(p)
-    pieces = [
-        (l, h, s, v) for (l, h, s, v) in profile.function(i) if l >= lo and h <= hi
-    ]
-    if not pieces:
-        return None
-    inf_val = min(min(v, v + s * (h - l)) for l, h, s, v in pieces)
-    for n in range(0, 64):
-        if inf_val > omega * Fraction(1, p ** n) + w:
-            return n
-    return None
+    inf_val = min(v, v + s * (hi - lo))
+    return next((n for n in range(64) if inf_val > omega * Fraction(1, p ** n) + w), None)
 
 
 # -- decomposition loci ---------------------------------------------------------
@@ -442,21 +326,12 @@ def decomposition_loci(profile: RadiusProfile) -> list:
         for c in profile.cells:
             if c.m < i:
                 continue
-            Fs = sum((c.visible[j][0] for j in range(i)), Fraction(0))
-            Fv = sum((c.visible[j][1] for j in range(i)), Fraction(0))
-            if c.m == i:
-                gs, gv = c.cap
-            else:
-                gs, gv = c.visible[i]
-            # gap function g = f_i - f_{i+1} (or f_i - cap), affine on the cell
-            ds = c.visible[i - 1][0] - gs
-            dv = c.visible[i - 1][1] - gv
-            ga = dv
-            gb = dv + ds * (c.hi - c.lo)
+            _, _, Fs, Fv = c.partial(i)
+            ds, ga, gb = c.gap(i)
             if ga > 0 and gb > 0:
                 atoms.append((c.lo, c.hi, Fs, Fv))
             elif (ga > 0 or gb > 0) and ds != 0:
-                x = c.lo - dv / ds  # the gap vanishes here
+                x = c.lo - ga / ds  # the gap vanishes here
                 if ga > 0:
                     atoms.append((c.lo, min(x, c.hi), Fs, Fv))
                 else:

@@ -92,10 +92,6 @@ class PiecewiseAffine:
         lo, hi = _frac(lo), _frac(hi)
         return not any(lo < b < hi for b in self.breakpoints())
 
-    def is_convex(self) -> bool:
-        s = self.slopes()
-        return all(a <= b for a, b in zip(s, s[1:]))
-
     def is_concave(self) -> bool:
         s = self.slopes()
         return all(a >= b for a, b in zip(s, s[1:]))
@@ -166,7 +162,10 @@ class PiecewiseAffine:
         return hash((self.knots, self.values))
 
     def __repr__(self):
-        ps = ", ".join(f"[{lo},{hi}]: {s}*r{v0:+}" for lo, hi, s, v0 in self.pieces())
+        # explicit sign: Fraction accepts the "+" format spec only from Python 3.13 on
+        ps = ", ".join(
+            f"[{lo},{hi}]: {s}*r{'+' if v0 >= 0 else ''}{v0}" for lo, hi, s, v0 in self.pieces()
+        )
         return f"PiecewiseAffine({ps})"
 
 

@@ -21,7 +21,8 @@ from math import comb
 from typing import List, Sequence, Tuple, Union
 
 from .pwaffine import PiecewiseAffine, pa_combine
-from .report import FAIL, NOT_APPLICABLE, PASS, Report
+from .report import (NOT_APPLICABLE, PASS, Report, check_convex, check_integral, check_membership,
+                     check_nonincreasing, clause, named)
 from .valued import (
     INF,
     FracElement,
@@ -576,12 +577,16 @@ def verify_newton_properties(
 ) -> Report:
     """Check the variation clauses on the exact parametric slope functions.
 
-    Clauses: structural continuity and piecewise affinity; integrality of the
-    ``F_i`` slopes wherever ``i`` is separated (``i = D`` or ``f_i < f_{i+1}``
-    on the open cell); slope membership in ``U_k (1/k) Z``; nonnegativity of
-    ``F_i`` slopes for monic ``P`` on a disc-side window; concavity of ``F_i``
-    for monic ``P``; the same after truncating by ``min(f_i, a r + b)`` when a
-    pair ``(a, b)`` is supplied.
+    Clauses, in order: "linearity" (the slope functions are exact and
+    piecewise affine); then the clauses shared with
+    :func:`annuli.profiles.verify_variation`, run on ``-f_i`` and ``-F_i`` so
+    the profile orientation applies: "slope membership" of the ``f_i`` slopes
+    in ``U_k (1/k) Z`` for ``k <= deg P``; "integrality" of the ``F_i`` slopes
+    wherever ``i`` is separated (``i = D`` or ``f_i < f_{i+1}`` on part of the
+    piece); "monotonicity", nonnegative ``F_i`` slopes, for monic ``P`` on a
+    disc-side window; "concavity" of ``F_i`` for monic ``P``; and
+    "truncation": the same after truncating by ``min(f_i, a r + b)`` when a
+    pair ``(a, b)`` is supplied.  Witnesses show the negated slopes.
     """
     sf = slope_functions(P, axis, window, frozen)
     rep = Report()
@@ -590,67 +595,22 @@ def verify_newton_properties(
         rep.add("linearity", PASS, "degenerate polygon, no slopes")
         return rep
     rep.add("linearity", PASS, f"{D} exact piecewise-affine slope functions")
-
-    denoms = set()
-    for k in range(1, P.degree + 1):
-        denoms.add(k)
-
-    def in_unit_fractions(s: Fraction) -> bool:
-        return any((s * k).denominator == 1 for k in denoms)
-
-    ok = True
-    for i, f in enumerate(sf.fs):
-        for lo, hi, s, _ in f.pieces():
-            if not in_unit_fractions(s):
-                rep.add(
-                    "slope membership",
-                    FAIL,
-                    f"f_{i+1} slope {s} on [{lo},{hi}] not in U_k (1/k)Z",
-                )
-                ok = False
-    if ok:
-        rep.add("slope membership", PASS)
-
-    ok = True
-    for i in range(D):
-        Fi = sf.Fs[i]
-        if i == D - 1:
-            segs = [(Fi.domain[0], Fi.domain[1])]
-        else:
-            gap = pa_combine("sum", sf.fs[i + 1], -sf.fs[i])  # f_{i+1} - f_i
-            segs = _positive_intervals(gap)
-        for a, b in segs:
-            for lo, hi, s, _ in Fi.restrict(a, b).pieces():
-                if s.denominator != 1:
-                    rep.add(
-                        "integrality",
-                        FAIL,
-                        f"F_{i+1} slope {s} on [{lo},{hi}] not an integer at separation",
-                    )
-                    ok = False
-    if ok:
-        rep.add("integrality", PASS)
-
-    if P.is_monic() and disc:
-        ok = True
-        for i, Fi in enumerate(sf.Fs):
-            for lo, hi, s, _ in Fi.pieces():
-                if s < 0:
-                    rep.add("monotonicity", FAIL, f"F_{i+1} slope {s} < 0 on [{lo},{hi}]")
-                    ok = False
-        if ok:
-            rep.add("monotonicity", PASS)
+    monic = P.is_monic()
+    fs = named("f", [(-f).pieces() for f in sf.fs])
+    Fs = named("F", [(-F).pieces() for F in sf.Fs])
+    clause(rep, "slope membership", check_membership(fs, P.degree))
+    gaps = [g - f for f, g in zip(sf.fs, sf.fs[1:])]  # f_{i+1} - f_i >= 0
+    separated = [
+        (label, [pc for pc in pieces if i == D - 1 or gaps[i].restrict(*pc[:2]).max_value() > 0])
+        for i, (label, pieces) in enumerate(Fs)
+    ]
+    clause(rep, "integrality", check_integral(separated, 1, "integral at separation"))
+    if monic and disc:
+        clause(rep, "monotonicity", check_nonincreasing(Fs))
     else:
         rep.add("monotonicity", NOT_APPLICABLE, "requires monic input on a disc window")
-
-    if P.is_monic():
-        ok = True
-        for i, Fi in enumerate(sf.Fs):
-            if not Fi.is_concave():
-                rep.add("concavity", FAIL, f"F_{i+1} slopes increase: {Fi.slopes()}")
-                ok = False
-        if ok:
-            rep.add("concavity", PASS)
+    if monic:
+        clause(rep, "concavity", check_convex(Fs))
     else:
         rep.add("concavity", NOT_APPLICABLE, "requires monic input")
 
@@ -658,32 +618,13 @@ def verify_newton_properties(
         a, b = Fraction(truncation[0]), Fraction(truncation[1])
         lo, hi = sf.window
         line = PiecewiseAffine.affine(lo, hi, a, a * lo + b)
-        tf = [pa_combine("min", f, line) for f in sf.fs]
-        acc = None
-        ok = True
-        for i, f in enumerate(tf):
+        fails, acc = [], None
+        for i, f in enumerate(sf.fs, 1):
+            f = pa_combine("min", f, line)
             acc = f if acc is None else pa_combine("sum", acc, f)
-            if P.is_monic() and not acc.is_concave():
-                rep.add("truncation", FAIL, f"truncated F_{i+1} not concave")
-                ok = False
-            if P.is_monic() and disc and any(s < 0 for s in acc.slopes()):
-                rep.add("truncation", FAIL, f"truncated F_{i+1} has negative slope")
-                ok = False
-        if ok:
-            rep.add("truncation", PASS)
+            if monic and not acc.is_concave():
+                fails.append(f"truncated F_{i} not concave")
+            if monic and disc and any(s < 0 for s in acc.slopes()):
+                fails.append(f"truncated F_{i} has negative slope")
+        clause(rep, "truncation", fails)
     return rep
-
-
-def _positive_intervals(f: PiecewiseAffine) -> list:
-    """Maximal subintervals of the domain where ``f > 0`` pointwise (open test
-    on cells, returned as closed pieces suitable for restriction)."""
-    lo, hi = f.domain
-    cuts = sorted({lo, hi, *(x for pair in f.roots() for x in pair)})
-    out = []
-    for a, b in zip(cuts, cuts[1:]):
-        if f((a + b) / 2) > 0:
-            if out and out[-1][1] == a:
-                out[-1] = (out[-1][0], b)
-            else:
-                out.append((a, b))
-    return out

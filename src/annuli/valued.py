@@ -194,7 +194,8 @@ class ValuationConfig:
         return LaurentElement(self, {})
 
     def one(self) -> "LaurentElement":
-        return self.scalar(1)
+        unit = ((0,) * self.m_base, (0,) * self.n_geom)
+        return LaurentElement._trusted(self, {unit: Fraction(1)})
 
     def scalar(self, c) -> "LaurentElement":
         return self.monomial(c)

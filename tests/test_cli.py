@@ -79,6 +79,31 @@ def test_verify_failing_profile_exits_2(tmp_path, capsys):
     assert any(c["name"] == "monotonicity" and c["status"] == "fail" for c in rep["checks"])
 
 
+def test_verify_names_base_level_skips(tmp_path, capsys):
+    # f_1 = 1/2 never exceeds p^-n omega + w = 2^-n + 1/2, so no level exists
+    profile = {
+        "axis": "u1",
+        "kind": "extrinsic",
+        "p": 2,
+        "rank": 1,
+        "window": ["0", "1"],
+        "axis_weight": "1/2",
+        "cells": [
+            {"lo": "0", "hi": "1", "visible": [["0", "1/2"]], "capped": 0, "cap": ["0", "1/2"]}
+        ],
+    }
+    path = write(tmp_path, "prof.json", profile)
+    code, out, _ = run(capsys, ["verify", "--input", path])
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    for name in ("slope membership", "integrality"):
+        assert checks[name] == {
+            "name": name,
+            "status": "pass",
+            "witness": "1 piece skipped: f_i not above p^-n omega + w for n < 64",
+        }
+
+
 def test_verify_module_passes(tmp_path, capsys):
     path = write(tmp_path, "m.json", rank1_module_obj())
     code, out, _ = run(

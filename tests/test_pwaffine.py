@@ -17,6 +17,11 @@ def test_constant_and_affine():
     assert a.slopes() == (F(1, 2),)
 
 
+def test_repr_signs_values():
+    f = PiecewiseAffine([0, 1, 2], [0, -1, F(1, 2)])
+    assert repr(f) == "PiecewiseAffine([0,1]: -1*r+0, [1,2]: 3/2*r-1)"
+
+
 def test_sum_with_zero_is_identity():
     f = min_of_lines([(1, 0), (0, 1)], 0, 2)
     z = PiecewiseAffine.constant(0, 2, 0)

@@ -24,6 +24,14 @@ def test_unit_constant_valuation(cfg2):
         assert gauss_valuation(one, [r]) == 0
 
 
+def test_one_matches_validated_monomial():
+    cfg = ValuationConfig(3, (F(1, 2),), 2)
+    one = cfg.one()
+    assert one.terms == LaurentElement(cfg, {((0,), (0, 0)): 1}).terms == cfg.monomial(1).terms
+    assert one.terms is not cfg.one().terms  # each call owns its terms
+    assert repr(one) == repr(cfg.monomial(1))
+
+
 def test_single_monomial(cfg2):
     # 2 * t^-1 at r = 0: ord_2(2) - 0 = 1
     x = cfg2.monomial(2, t=(-1,))

@@ -71,7 +71,7 @@ class Skip:
     reason: str
 
 
-def clause(rep: Report, name: str, results, na: str = None):
+def clause(rep: Report, name: str, results: list, na: str = None):
     """Add clause ``name`` to ``rep`` from its per-piece ``results``.
 
     A result is ``None`` (the piece passes), a witness string (it fails) or a
@@ -79,7 +79,6 @@ def clause(rep: Report, name: str, results, na: str = None):
     witness ``na`` when nothing was evaluated and ``na`` is given; otherwise
     one PASS, whose witness counts the skipped pieces and says why.
     """
-    results = list(results)
     fails = [r for r in results if isinstance(r, str)]
     skips = [r.reason for r in results if isinstance(r, Skip)]
     if fails:

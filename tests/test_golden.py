@@ -159,8 +159,9 @@ def lib_verifier_reports():
     applicable wherever the clause has that status.  ``verify_variation`` is
     recorded in full, witnesses included; ``verify_newton_properties`` and
     ``_slice_report`` as ``(name, status)`` pairs.  The slice pairs are grouped
-    by clause name (stable), because the slice report of this version adds
-    its FAILs in the order of the partial-sum index across both clauses.
+    by clause name (a stable sort): the slice report once interleaved the
+    FAILs of its two clauses by partial-sum index and added its PASSes last,
+    and only the statuses of each clause are frozen.
     """
     variation = [
         ("twist2 t1 annulus", _module_profile("twist2", "t1", (1, 2)), "annulus", "geometric"),

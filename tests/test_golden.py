@@ -17,7 +17,8 @@ import pytest
 from annuli import ValuationConfig, direct_sum, rank_one
 from annuli import serialize as ser
 from annuli.cli import main
-from annuli.modules import DiffModule, cyclic_vector, decompose_fiber
+from annuli.modules import (DiffModule, cyclic_vector, decompose_fiber, iterate_Dn,
+                            spectral_valuation_estimate)
 from annuli.polyhedral import TRPSet, _slice_report, multidim_profile
 from annuli.profiles import ProfileCell, RadiusProfile, build_radius_profile, verify_variation
 from annuli.twisted import TwistedPoly, robba_factor, twisted_mul, verify_newton_properties
@@ -245,9 +246,69 @@ def lib_verifier_reports():
     return "\n".join(lines)
 
 
+def lib_iterate_dn():
+    """``iterate_Dn`` in full and ``spectral_valuation_estimate`` on shapes the unit
+    tests leave out: a non-diagonal module, fractional coefficients at p = 2 and
+    p = 3, a base axis of weight 1/2, p = 0, the second axis of a two-variable
+    module at a frozen fiber, and a rank-3 twist sum at n = 128."""
+    def upper2():
+        c = _cfg(2)
+        N = [[c.t(1, -2), c.one()], [c.zero(), c.t(1, -3) + c.scalar(2) * c.t(1, -1)]]
+        return DiffModule(c, 2, {"t1": N})
+
+    def fractional(p):
+        c = _cfg(p)
+        N = [[c.scalar(F(1, 2)) * c.t(1, -2), c.scalar(F(5, 3))],
+             [c.zero(), c.scalar(F(3, 4)) * c.t(1, -3)]]
+        return DiffModule(c, 2, {"t1": N})
+
+    def base_u1():
+        c = _cfg(3, (F(1, 2),))
+        return direct_sum(rank_one(c, {"t1": c.t(1, -2), "u1": c.scalar(F(1, 2)) * c.u(1, -1)}),
+                          rank_one(c, {"t1": -c.t(1, -3), "u1": c.scalar(F(3, 4)) * c.u(1, -1)}))
+
+    def p0():
+        c = _cfg(0)
+        return direct_sum(rank_one(c, {"t1": c.scalar(F(2, 3)) * c.t(1, -2)}),
+                          rank_one(c, {"t1": -c.t(1, -3)}))
+
+    def two_variable():
+        c = _cfg(2, (), 2)
+        t1, t2 = c.t(1), c.t(2)
+
+        def pot(k, m, n):  # d/dt_i of k t1^m t2^n
+            return {"t1": c.scalar(k * m) * t1 ** (m - 1) * t2 ** n,
+                    "t2": c.scalar(k * n) * t1 ** m * t2 ** (n - 1)}
+
+        return direct_sum(rank_one(c, pot(1, -1, -1)), rank_one(c, pot(-1, -1, -3)))
+
+    def twist3():
+        c = _cfg(2)
+        t2, t3, t4 = (rank_one(c, {"t1": c.t(1, -k)}) for k in (2, 3, 4))
+        return direct_sum(direct_sum(t2, t3), t4)
+
+    cases = [
+        ("upper2 t1", upper2(), "t1", [F(-1)], 24, 32),
+        ("fractional p=2 t1", fractional(2), "t1", [F(-1)], 24, 32),
+        ("fractional p=3 t1", fractional(3), "t1", [F(-1, 2)], 24, 32),
+        ("base u1 weight 1/2", base_u1(), "u1", [F(-1)], 24, 32),
+        ("base t1 weight 1/2", base_u1(), "t1", [F(-1)], 24, 32),
+        ("p=0 t1", p0(), "t1", [F(-1)], 24, 32),
+        ("two-variable t2 at t1 = -1", two_variable(), "t2", [F(-1), F(-1)], 24, 32),
+        ("twist sum t^-2, t^-3, t^-4 at p=2", twist3(), "t1", [F(1)], 128, 128),
+    ]
+    lines = []
+    for name, M, axis, r, n_iter, n_spec in cases:
+        lines.append(f"iterate_Dn {name}: {iterate_Dn(M, axis, n_iter, r)!r}")
+        lines.append(f"spectral_valuation_estimate {name}: "
+                     f"{spectral_valuation_estimate(M, axis, r, n_spec)!r}")
+    return "\n".join(lines)
+
+
 LIB_CASES = {f.__name__[4:]: f for f in (
     lib_twist2_charpoly, lib_upper2_charpoly, lib_twist3_p3_charpoly,
     lib_two_variable_charpolys, lib_decompose_fiber, lib_robba_trace, lib_verifier_reports,
+    lib_iterate_dn,
 )}
 
 

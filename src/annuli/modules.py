@@ -37,8 +37,8 @@ from .valued import (
     FracElement,
     LaurentElement,
     ValuationConfig,
+    gauss_valuation,
     solve,
-    term_valuation,
     vmin,
 )
 
@@ -239,9 +239,9 @@ def apply_connection(M: DiffModule, axis: str, vec: Sequence) -> list:
 def iterate_Dn(M: DiffModule, axis: str, n_max: int, r: Sequence) -> list:
     """Valuations of the matrices through which the derivation powers act.
 
-    ``D_1 = N`` and ``D_{n+1} = d(D_n) + N D_n``; returns
-    ``[(n, min entry valuation at r)]`` for ``n = 1..n_max``.  The recursion
-    runs on raw exponent dictionaries; results are exact.
+    ``D_1 = N`` and ``D_{n+1} = d(D_n) + N D_n``, so each column of ``D_{n+1}``
+    is :func:`apply_connection` of that column of ``D_n``; returns
+    ``[(n, min entry valuation at r)]`` for ``n = 1..n_max``.  Results are exact.
     """
     return _iterate_Dn(M, axis, n_max, r, from_n=1)
 
@@ -250,64 +250,15 @@ def _iterate_Dn(M: DiffModule, axis: str, n_max: int, r: Sequence, from_n: int) 
     """Core recursion; valuations are evaluated only for ``n >= from_n``."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    cfg = M.config
-    d = M.rank
-    kind, idx = cfg.axis_kind(axis)
     r = tuple(Fraction(x) for x in r)
-
-    def dict_derive(D):
-        out = {}
-        for (e, i), c in D.items():
-            exp = e[idx] if kind == "u" else i[idx]
-            if exp == 0:
-                continue
-            if kind == "u":
-                k2 = (e[:idx] + (e[idx] - 1,) + e[idx + 1 :], i)
-            else:
-                k2 = (e, i[:idx] + (i[idx] - 1,) + i[idx + 1 :])
-            out[k2] = out.get(k2, 0) + c * exp
-        return out
-
-    def dict_mul_add(A, B, acc):
-        for (e1, i1), c1 in A.items():
-            for (e2, i2), c2 in B.items():
-                k = (
-                    tuple(a + b for a, b in zip(e1, e2)),
-                    tuple(a + b for a, b in zip(i1, i2)),
-                )
-                acc[k] = acc.get(k, 0) + c1 * c2
-        return acc
-
-    def light(c):
-        return c.numerator if c.denominator == 1 else c
-
-    N = [
-        [{k: light(c) for k, c in M.matrix(axis)[a][b].terms.items()} for b in range(d)]
-        for a in range(d)
-    ]
-    D = N
+    cols = [list(col) for col in zip(*M.matrix(axis))]
     out = []
     for n in range(1, n_max + 1):
         if n >= from_n:
-            v = INF
-            for row in D:
-                for entry in row:
-                    for key, c in entry.items():
-                        if c:
-                            v = vmin(v, term_valuation(cfg, key, c, r))
-            out.append((n, v))
+            out.append((n, min((gauss_valuation(x, r) for col in cols for x in col if x),
+                               default=INF)))
         if n < n_max:
-            new = []
-            for a in range(d):
-                new_row = []
-                for b in range(d):
-                    acc = dict_derive(D[a][b])
-                    for l in range(d):
-                        if N[a][l] and D[l][b]:
-                            dict_mul_add(N[a][l], D[l][b], acc)
-                    new_row.append({k: c for k, c in acc.items() if c})
-                new.append(new_row)
-            D = new
+            cols = [apply_connection(M, axis, col) for col in cols]
     return out
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "laurent_to_obj",
     "laurent_from_obj",
     "config_from_obj",
-    "module_to_obj",
     "module_from_obj",
     "poly_to_obj",
     "poly_from_obj",
@@ -33,7 +32,6 @@ __all__ = [
     "profile_to_obj",
     "profile_from_obj",
     "trp_from_obj",
-    "trp_to_obj",
     "polyfunc_from_obj",
     "polyfunc_to_obj",
 ]
@@ -83,20 +81,6 @@ def config_from_obj(obj: dict) -> ValuationConfig:
         tkeys = [k for k in obj.get("matrices", {}) if k.startswith("t")]
         n_geom = max((int(k[1:]) for k in tkeys), default=1)
     return ValuationConfig(p, u_weights, n_geom)
-
-
-def module_to_obj(M: DiffModule) -> dict:
-    cfg = M.config
-    return {
-        "rank": M.rank,
-        "p": cfg.p,
-        "u_weights": [frac_str(w) for w in cfg.u_weights],
-        "n_geom": cfg.n_geom,
-        "matrices": {
-            a: [[laurent_to_obj(x) for x in row] for row in mat]
-            for a, mat in M.matrices.items()
-        },
-    }
 
 
 def module_from_obj(obj: dict) -> DiffModule:
@@ -193,15 +177,6 @@ def profile_from_obj(obj: dict) -> RadiusProfile:
         cells,
         None if weight is None else parse_frac(weight),
     )
-
-
-def trp_to_obj(C: TRPSet) -> dict:
-    return {
-        "dim": C.dim,
-        "constraints": [
-            {"slope": list(c.slope), "const": frac_str(c.const)} for c in C.constraints
-        ],
-    }
 
 
 def trp_from_obj(obj: dict) -> TRPSet:

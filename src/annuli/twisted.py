@@ -6,8 +6,12 @@ Elements are finite sums ``sum a_i T^i`` multiplied by the rule
 Hull orientation.  The Newton polygon of ``P`` at the fiber ``r`` is the lower
 convex hull of the points ``(i, v_r(a_i))`` with slopes read left to right
 (ascending).  The classical presentation mirrors the x-axis, so a classical
-slope ``f`` (in valuation units) corresponds to our slope ``sigma = -f``;
-:func:`classical_slopes` owns that conversion and nothing else flips signs.
+slope ``f`` (in valuation units) corresponds to our slope ``sigma = -f``.
+Four places flip signs: :meth:`NewtonPolygon.classical_slopes`;
+:func:`slope_functions`, which returns classical ``f_i``; and, back into the
+radius orientation, :func:`verify_newton_properties` (on ``-f_i``, ``-F_i``)
+and ``profiles._axis_profile`` (log-radii ``omega - f_i`` or
+``omega + tau - f_i``).
 Spectral data reads off as: a hull slope ``sigma`` is *visible* at a fiber
 where the derivation has operator valuation ``tau`` iff ``sigma > -tau``, and
 then contributes a subquotient of spectral valuation ``-sigma``.
@@ -543,8 +547,8 @@ def robba_factor(
             return A, B, res
         cols = []
         for j in range(e):
-            tj = P._clone([cfg.zero()] * j + [cfg.one()])
-            _, rem = twisted_mul(A, tj).rdivmod(B)
+            # A T^j: right multiplication by T^j does not twist, it shifts
+            _, rem = P._clone([cfg.zero()] * j + list(A.coeffs)).rdivmod(B)
             cols.append([fr(rem.coeff(i)) for i in range(e)])
         M = [[cols[j][i] for j in range(e)] for i in range(e)]
         try:
@@ -553,8 +557,7 @@ def robba_factor(
             raise NonConvergence("singular correction system") from None
         delta = [row[0] for row in X]
         newc = [B.coeff(i) + delta[i] for i in range(e)] + [cfg.one()]
-        approx = [_laurent_approx(fr(c) if not isinstance(c, LaurentElement) else c, r, cut)
-                  if i < e else cfg.one()
+        approx = [_laurent_approx(c, r, cut) if i < e else cfg.one()
                   for i, c in enumerate(newc)]
         if any(a is None for a in approx):
             B = P._clone(newc)  # keep exact fractions this round
@@ -614,7 +617,9 @@ def verify_newton_properties(
     else:
         rep.add("concavity", NOT_APPLICABLE, "requires monic input")
 
-    if truncation is not None:
+    if truncation is not None and not monic:
+        rep.add("truncation", NOT_APPLICABLE, "requires monic input")
+    elif truncation is not None:
         a, b = Fraction(truncation[0]), Fraction(truncation[1])
         lo, hi = sf.window
         line = PiecewiseAffine.affine(lo, hi, a, a * lo + b)
@@ -622,9 +627,9 @@ def verify_newton_properties(
         for i, f in enumerate(sf.fs, 1):
             f = pa_combine("min", f, line)
             acc = f if acc is None else pa_combine("sum", acc, f)
-            if monic and not acc.is_concave():
+            if not acc.is_concave():
                 fails.append(f"truncated F_{i} not concave")
-            if monic and disc and any(s < 0 for s in acc.slopes()):
+            if disc and any(s < 0 for s in acc.slopes()):
                 fails.append(f"truncated F_{i} has negative slope")
         clause(rep, "truncation", fails)
     return rep

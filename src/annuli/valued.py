@@ -15,7 +15,8 @@ Conventions (fixed here once, used everywhere):
   never a sentinel rational.
 
 Elements are finite sums of monomials ``c * u^e * t^i`` with exact rational
-``c``; all operations are pure and values are immutable.
+``c``, stored as an ``int`` when integral and as a ``Fraction`` otherwise; all
+operations are pure and values are immutable.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ class ValuationConfig:
 
     def one(self) -> "LaurentElement":
         unit = ((0,) * self.m_base, (0,) * self.n_geom)
-        return LaurentElement._trusted(self, {unit: Fraction(1)})
+        return LaurentElement._trusted(self, {unit: 1})
 
     def scalar(self, c) -> "LaurentElement":
         return self.monomial(c)
@@ -235,7 +236,10 @@ class LaurentElement:
     """A finite sum of monomials ``c * u^e * t^i`` with rational coefficients.
 
     ``terms`` maps exponent pairs ``(e, i)`` (tuples of ints) to nonzero
-    ``Fraction`` coefficients.  Instances are immutable.
+    coefficients: an ``int`` when integral, otherwise a ``Fraction``.  This
+    constructor and products store them so; sums and derivatives may leave an
+    integral ``Fraction``, which agrees with the ``int`` on ``==``, ``hash``
+    and ``str``.  Instances are immutable.
     """
 
     __slots__ = ("config", "terms", "_key_cache")
@@ -250,13 +254,13 @@ class LaurentElement:
             e, i = tuple(int(x) for x in e), tuple(int(x) for x in i)
             if len(e) != config.m_base or len(i) != config.n_geom:
                 raise ValueError("exponent vector length mismatch")
-            clean[(e, i)] = c
+            clean[(e, i)] = c.numerator if c.denominator == 1 else c
         self.terms = clean
         self._key_cache = None
 
     @classmethod
     def _trusted(cls, config: ValuationConfig, terms: dict) -> "LaurentElement":
-        """Wrap ``terms`` without re-validation: int-tuple keys, nonzero Fractions."""
+        """Wrap ``terms`` without re-validation: int-tuple keys, nonzero coefficients."""
         self = object.__new__(cls)
         self.config, self.terms, self._key_cache = config, terms, None
         return self
@@ -322,14 +326,17 @@ class LaurentElement:
     def __mul__(self, other):
         """Exact product over integer numerators: each factor is scaled once by the
         lcm ``L`` of its denominators, term pairs accumulate as ints in schoolbook
-        order, and each output coefficient is built once as ``Fraction(n, L1 * L2)``.
-        Cost: one int multiply-add per pair of terms, one gcd per output term.
+        order, and each output coefficient is built once from ``n / (L1 * L2)``.
+        Cost: one int multiply-add per pair of terms, one gcd per output term
+        when ``L1 * L2 > 1``.  A zero factor returns zero at once.
         """
         if isinstance(other, FracElement):
             return FracElement(self) * other
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.terms or not o.terms:
+            return LaurentElement._trusted(self.config, {})
         L1, xs = _int_terms(self.terms)
         L2, ys = _int_terms(o.terms)
         acc: dict = {}
@@ -339,9 +346,9 @@ class LaurentElement:
                 k = (tuple(map(add, e1, e2)), tuple(map(add, i1, i2)))
                 acc[k] = get(k, 0) + n1 * n2
         L = L1 * L2
-        return LaurentElement._trusted(
-            self.config, {k: Fraction(n, L) for k, n in acc.items() if n}
-        )
+        if L == 1:
+            return LaurentElement._trusted(self.config, {k: n for k, n in acc.items() if n})
+        return LaurentElement._trusted(self.config, {k: _ratio(n, L) for k, n in acc.items() if n})
 
     __rmul__ = __mul__
 
@@ -349,11 +356,8 @@ class LaurentElement:
         if n < 0:
             if len(self.terms) == 1:
                 ((e, i), c), = self.terms.items()
-                inv = LaurentElement(
-                    self.config,
-                    {(tuple(-x for x in e), tuple(-x for x in i)): 1 / c},
-                )
-                return inv ** (-n)
+                key = (tuple(-x for x in e), tuple(-x for x in i))
+                return LaurentElement(self.config, {key: Fraction(1, c)}) ** (-n)
             raise ValueError("negative powers only for monomials")
         result = self.config.one()
         base = self
@@ -365,7 +369,11 @@ class LaurentElement:
         return result
 
     def derive(self, axis: str) -> "LaurentElement":
-        """Exact formal partial derivative along the named axis."""
+        """Exact formal partial derivative along the named axis.
+
+        Lowering one exponent is injective on keys and ``c * exp`` is nonzero,
+        so no terms collide or cancel and the result skips re-validation.
+        """
         kind, idx = self.config.axis_kind(axis)
         out: dict = {}
         for (e, i), c in self.terms.items():
@@ -373,13 +381,11 @@ class LaurentElement:
             if exp == 0:
                 continue
             if kind == "u":
-                e2 = e[:idx] + (e[idx] - 1,) + e[idx + 1 :]
-                k = (e2, i)
+                k = (e[:idx] + (exp - 1,) + e[idx + 1 :], i)
             else:
-                i2 = i[:idx] + (i[idx] - 1,) + i[idx + 1 :]
-                k = (e, i2)
-            out[k] = out.get(k, Fraction(0)) + c * exp
-        return LaurentElement(self.config, out)
+                k = (e, i[:idx] + (exp - 1,) + i[idx + 1 :])
+            out[k] = c * exp
+        return LaurentElement._trusted(self.config, out)
 
     def substitute_geom(self, matrix: Sequence) -> "LaurentElement":
         """Monomial substitution ``t_i -> s^(column i of matrix)`` on exponents."""
@@ -428,6 +434,12 @@ def _int_terms(terms: dict):
     return L, [(k, c.numerator * (L // c.denominator)) for k, c in terms.items()]
 
 
+def _ratio(n: int, d) -> Union[int, Fraction]:
+    """The coefficient ``n / d``: an ``int`` when integral, else a ``Fraction``."""
+    c = Fraction(n, d)
+    return c.numerator if c.denominator == 1 else c
+
+
 class FracElement:
     """A quotient ``num/den`` of Laurent elements; the computable fraction field.
 
@@ -474,9 +486,6 @@ class FracElement:
         if o is None:
             return NotImplemented
         return (self.num * o.den)._key == (o.num * self.den)._key
-
-    def __hash__(self):
-        return hash((self.num._key, self.den._key))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -545,7 +554,7 @@ def _frac_normalize(num: LaurentElement, den: LaurentElement):
             cfg,
             {
                 (tuple(map(sub, e, e_min)), tuple(map(sub, i, i_min))):
-                    c if lead == 1 else c / lead
+                    c if lead == 1 else _ratio(c, lead)
                 for (e, i), c in el.terms.items()
             },
         )
@@ -556,8 +565,8 @@ def _frac_normalize(num: LaurentElement, den: LaurentElement):
 def term_valuation(cfg: ValuationConfig, key, c, r: Sequence) -> Fraction:
     """Valuation ``ord_p(c) + e.w + i.r`` of the single term ``c * u^e * t^i``.
 
-    ``key`` is the exponent pair ``(e, i)``; ``c`` is a nonzero ``Fraction``
-    or ``int``.  Zero exponents are skipped, so ``r`` entries there are unread.
+    ``key`` is the exponent pair ``(e, i)``; ``c`` is a nonzero ``int`` or
+    ``Fraction``.  Zero exponents are skipped, so ``r`` entries there are unread.
     """
     e, i = key
     v = ordp(c, cfg.p)

@@ -2,9 +2,11 @@
 
 ``min_of_lines`` is checked against the envelope refined at every pairwise
 crossing (``PiecewiseAffine`` is canonical, so equal functions have equal
-knots and values); ``LaurentElement`` products and sums against a ``Fraction`` double
-loop through the validating constructor.  Equal values, equal ``repr`` and,
-for ring elements, equal term order are required.
+knots and values); ``LaurentElement`` products, sums and derivatives against
+``Fraction`` loops through the validating constructor.  Equal values, equal
+``repr`` and, for ring elements, equal term order are required, and every
+stored coefficient must be an ``int`` or a ``Fraction``: a float would mean
+two ``int`` coefficients were divided with ``/``.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annuli.pwaffine import PiecewiseAffine, max_of_lines, min_of_lines
-from annuli.valued import LaurentElement, ValuationConfig
+from annuli.valued import FracElement, LaurentElement, ValuationConfig
 
 F = Fraction
 
@@ -101,6 +103,18 @@ def naive_add(x, y):
     return LaurentElement(x.config, out)
 
 
+def naive_derive(x, axis):
+    kind, idx = x.config.axis_kind(axis)
+    out = {}
+    for (e, i), c in x.terms.items():
+        e, i = list(e), list(i)
+        exps = e if kind == "u" else i
+        a = exps[idx]
+        exps[idx] -= 1
+        out[(tuple(e), tuple(i))] = F(c) * a
+    return LaurentElement(x.config, out)
+
+
 CONFIGS = [ValuationConfig(2, (), 1), ValuationConfig(3, (F(1, 2),), 2), ValuationConfig(0, (), 2)]
 # mixed denominators, including ones that cancel against each other
 coeff_st = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9, 12]))
@@ -126,7 +140,12 @@ def element_pair(draw):
     return element(), element()
 
 
+def exact(x):
+    assert all(type(c) in (int, F) for c in x.terms.values()), x.terms
+
+
 def same(got, want):
+    exact(got)
     assert got == want
     assert repr(got) == repr(want)
     assert list(got.terms.items()) == list(want.terms.items())
@@ -136,7 +155,9 @@ def same(got, want):
 @given(element_pair())
 def test_product_matches_naive(pair):
     x, y = pair
-    same(x * y, naive_mul(x, y))
+    prod = x * y
+    same(prod, naive_mul(x, y))
+    assert all(type(c) is int for c in prod.terms.values() if c.denominator == 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,6 +167,8 @@ def test_sum_and_negation_match_naive(pair):
     same(x + y, naive_add(x, y))
     same(-x, LaurentElement(x.config, {k: -c for k, c in x.terms.items()}))
     same(x + (-x), x.config.zero())
+    for axis in x.config.axes():
+        same(x.derive(axis), naive_derive(x, axis))
 
 
 def test_product_edge_cases():
@@ -159,3 +182,13 @@ def test_product_edge_cases():
     for z in (a * cfg.zero(), cfg.zero() * a, a * 0):
         same(z, cfg.zero())
         assert repr(z) == "0"
+    for c in (2, 3, -6):  # 1 / c with an integral c other than 1
+        inv = cfg.monomial(c, u=(1,), t=(3, 0)) ** -1
+        same(inv, LaurentElement(cfg, {((-1,), (-3, 0)): F(1, c)}))
+    # the least denominator term has coefficient 2, by which both sides are divided
+    q = FracElement(cfg.one() + cfg.monomial(3, t=(0, 1)),
+                    cfg.scalar(2) + cfg.monomial(5, t=(1, 0)))
+    exact(q.num), exact(q.den)
+    assert q.den.terms[((0,), (0, 0))] == 1
+    same(q.num, LaurentElement(cfg, {((0,), (0, 0)): F(1, 2), ((0,), (0, 1)): F(3, 2)}))
+    same(q.den, LaurentElement(cfg, {((0,), (0, 0)): F(1), ((0,), (1, 0)): F(5, 2)}))

@@ -284,3 +284,10 @@ def test_verify_truncation_clause(cfg2):
     )
     tr = rep.by_name("truncation")
     assert tr and tr[0].status == "pass"
+
+
+def test_verify_truncation_nonmonic_na(cfg2):
+    poly = P(cfg2, cfg2.one(), cfg2.scalar(2))  # 2T + 1
+    rep = verify_newton_properties(poly, "t1", (F(0), F(1)), disc=True, truncation=(1, 0))
+    tr = rep.by_name("truncation")
+    assert [(r.status, r.witness) for r in tr] == [("not applicable", "requires monic input")]

@@ -203,6 +203,14 @@ def test_frac_element_arithmetic(cfg2):
     assert h * (t + cfg2.scalar(2)) * (t + cfg2.scalar(2)) == -cfg2.one()
 
 
+def test_frac_element_is_unhashable(cfg2):
+    # equal elements with different stored num/den: a hash could not agree with ==
+    x, one = FracElement(cfg2.one() + cfg2.t(1), cfg2.one() + cfg2.t(1)), FracElement(cfg2.one())
+    assert x == one
+    with pytest.raises(TypeError):
+        {x, one}
+
+
 def test_laurent_serialization_roundtrip(cfg2u):
     from annuli.serialize import laurent_from_obj, laurent_to_obj
 

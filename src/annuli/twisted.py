@@ -588,8 +588,9 @@ def verify_newton_properties(
     wherever ``i`` is separated (``i = D`` or ``f_i < f_{i+1}`` on part of the
     piece); "monotonicity", nonnegative ``F_i`` slopes, for monic ``P`` on a
     disc-side window; "concavity" of ``F_i`` for monic ``P``; and
-    "truncation": the same after truncating by ``min(f_i, a r + b)`` when a
-    pair ``(a, b)`` is supplied.  Witnesses show the negated slopes.
+    "truncation", for monic ``P``: the same after truncating by
+    ``min(f_i, a r + b)`` when a pair ``(a, b)`` is supplied.  Witnesses show
+    the negated slopes.
     """
     sf = slope_functions(P, axis, window, frozen)
     rep = Report()

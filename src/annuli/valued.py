@@ -445,7 +445,8 @@ class FracElement:
 
     Gauss valuations extend multiplicatively: ``v(num/den) = v(num) - v(den)``.
     Only light normalization is performed (common monomial and rational scalar),
-    enough to keep coefficients tame in small linear algebra.
+    enough to keep coefficients tame in small linear algebra.  Equal elements
+    may store different ``num``/``den``, so the class is unhashable.
     """
 
     __slots__ = ("num", "den")

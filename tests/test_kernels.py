@@ -188,7 +188,5 @@ def test_product_edge_cases():
     # the least denominator term has coefficient 2, by which both sides are divided
     q = FracElement(cfg.one() + cfg.monomial(3, t=(0, 1)),
                     cfg.scalar(2) + cfg.monomial(5, t=(1, 0)))
-    exact(q.num), exact(q.den)
-    assert q.den.terms[((0,), (0, 0))] == 1
     same(q.num, LaurentElement(cfg, {((0,), (0, 0)): F(1, 2), ((0,), (0, 1)): F(3, 2)}))
     same(q.den, LaurentElement(cfg, {((0,), (0, 0)): F(1), ((0,), (1, 0)): F(5, 2)}))

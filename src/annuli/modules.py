@@ -317,28 +317,28 @@ def _cyclic_candidates(M: DiffModule, axis: str):
 def cyclic_vector(M: DiffModule, axis: str) -> Tuple[list, TwistedPoly]:
     """A cyclic vector over the rational-function field plus its annihilator.
 
-    The candidate is certified by a nonsingular exact elimination of
-    ``[v, Dv, ..., D^{d-1}v]``; the characteristic polynomial is the monic
-    twisted polynomial with ``P(D)v = 0``, solved exactly over fractions.
+    For each candidate ``v`` the coefficients ``c_0, ..., c_{d-1}`` of the monic
+    ``P = T^d + sum c_i T^i`` solve ``W c = -D^d v`` with
+    ``W = [v, Dv, ..., D^{d-1}v]``, in one exact :func:`valued.solve` over
+    fractions; ``P(D)v = 0`` then holds by construction.  A singular ``W``
+    (``v`` not cyclic) raises ``ZeroDivisionError`` there and the next
+    candidate is tried.  The solution is unique, so the coefficients do not
+    depend on the elimination beyond their stored ``num``/``den``.
     """
     cfg = M.config
     d = M.rank
     tried = 0
     for vec in _cyclic_candidates(M, axis):
         cols = [vec]
-        for _ in range(d - 1):
+        for _ in range(d):
             cols.append(apply_connection(M, axis, cols[-1]))
+        W = [[cols[j][i] for j in range(d)] for i in range(d)]
         try:
-            Winv = _frac_inverse([[cols[j][i] for j in range(d)] for i in range(d)], cfg)
+            X = solve(W, [[-x] for x in cols[d]])[0]
         except ZeroDivisionError:
             tried += 1
             continue
-        rhs = apply_connection(M, axis, cols[-1])
-        coeffs = [
-            sum((Winv[i][j] * (-rhs[j]) for j in range(1, d)), Winv[i][0] * (-rhs[0]))
-            for i in range(d)
-        ]
-        return vec, TwistedPoly(cfg, axis, coeffs + [FracElement(cfg.one())])
+        return vec, TwistedPoly(cfg, axis, [row[0] for row in X] + [FracElement(cfg.one())])
     raise CyclicSearchError(f"cyclic search bound exceeded after {tried} candidates")
 
 

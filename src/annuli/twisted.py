@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from math import comb
 from typing import List, Sequence, Tuple, Union
 
@@ -325,108 +326,40 @@ class SlopeFunctions:
         return sorted(f(r) for f in self.fs)
 
 
-def _cell_lines(P: TwistedPoly, axis: str, window, frozen):
-    """Per-coefficient affine data refined so every valuation is affine per cell.
-
-    Returns ``(xs, lines)`` where ``xs`` are cell boundaries and ``lines`` maps
-    each present coefficient index to its valuation PiecewiseAffine.
-    """
-    lo, hi = Fraction(window[0]), Fraction(window[1])
-    if lo >= hi:
-        raise ValueError("window must be nondegenerate")
-    funcs = {}
-    for i, c in enumerate(P.coeffs):
-        if not c.is_zero():
-            funcs[i] = valuation_function(c, axis, (lo, hi), frozen)
-    cuts = {lo, hi}
-    for f in funcs.values():
-        cuts.update(b for b in f.breakpoints())
-    return sorted(cuts), funcs
-
-
 def slope_functions(P: TwistedPoly, axis: str, window, frozen: Sequence = ()) -> SlopeFunctions:
     """Exact parametric Newton polygon along one geometric axis.
 
-    The window is subdivided at breakpoints of the coefficient valuations and
-    at parameter values where the hull combinatorics change (roots of the
-    affine collinearity conditions); within each cell every classical slope
-    function is affine.  Returns the ``f_i`` ascending plus partial sums.
+    Each nonzero coefficient ``a_i`` has the exact valuation function
+    ``v_i(r)`` of :func:`valued.valuation_function`.  At a fiber the lower
+    hull at an integer ``x`` is the least of ``v_x(r)`` (when ``a_x != 0``)
+    and the chord values ``((b - x) v_a(r) + (x - a) v_b(r)) / (b - a)`` over
+    nonzero indices ``a < x < b``; each is piecewise affine in ``r``, so the
+    hull height ``h(x)`` is their exact pointwise minimum.  With ``d`` the
+    degree, the classical partial sums are ``F_i = h(d - i) - h(d)`` and the
+    slope functions ``f_i = F_i - F_{i-1}``, ascending in ``i`` at every ``r``
+    because the hull is convex.  Returns the ``f_i`` plus the partial sums.
     """
     if P.is_zero():
         raise ValueError("slope functions of the zero polynomial")
     lo, hi = Fraction(window[0]), Fraction(window[1])
-    xs, funcs = _cell_lines(P, axis, window, frozen)
-    idxs = sorted(funcs)
+    if lo >= hi:
+        raise ValueError("window must be nondegenerate")
+    v = {i: valuation_function(c, axis, (lo, hi), frozen)
+         for i, c in enumerate(P.coeffs) if not c.is_zero()}
     d = P.degree
-    if idxs[-1] != d:
+    if d not in v:
         raise ValueError("leading coefficient vanishes identically")
-    D = d - idxs[0]
-    if D == 0:
-        return SlopeFunctions((), (), (lo, hi))
 
-    # refine each cell at hull-combinatorics changes (triple collinearity)
-    refined = []
-    for a, b in zip(xs, xs[1:]):
-        cuts = {a, b}
-        lines = {}
-        for i in idxs:
-            f = funcs[i]
-            va, vb = f(a), f(b)
-            s = (vb - va) / (b - a)
-            lines[i] = (s, va - s * a)  # value = s*r + c
-        for u in range(len(idxs)):
-            for v in range(u + 1, len(idxs)):
-                for w in range(v + 1, len(idxs)):
-                    i, j, k = idxs[u], idxs[v], idxs[w]
-                    si, ci = lines[i]
-                    sj, cj = lines[j]
-                    sk, ck = lines[k]
-                    # point j meets the chord from i to k
-                    lam = Fraction(j - i, k - i)
-                    ds = sj - (si + (sk - si) * lam)
-                    dc = cj - (ci + (ck - ci) * lam)
-                    if ds != 0:
-                        x = -dc / ds
-                        if a < x < b:
-                            cuts.add(x)
-        cs = sorted(cuts)
-        for aa, bb in zip(cs, cs[1:]):
-            refined.append((aa, bb, lines))
+    def hull_at(x):
+        vals = [v[x]] if x in v else []
+        vals += [v[a].scale(Fraction(b - x, b - a)) + v[b].scale(Fraction(x - a, b - a))
+                 for a in v if a < x for b in v if b > x]
+        return reduce(partial(pa_combine, "min"), vals)
 
-    # per refined cell the sorted classical slopes are affine; sample midpoints
-    knots = [refined[0][0]]
-    cells_data = []
-    for a, b, lines in refined:
-        mid = (a + b) / 2
-        pts = [(i, lines[i][0] * mid + lines[i][1]) for i in idxs]
-        hull = _lower_hull(pts)
-        # slope index ranges as affine functions of r, ours ascending
-        fs_cell = []
-        for (x0, _), (x1, _) in zip(hull, hull[1:]):
-            s0, c0 = lines[x0]
-            s1, c1 = lines[x1]
-            sl = (s1 - s0) / (x1 - x0)
-            cc = (c1 - c0) / (x1 - x0)
-            fs_cell.extend([(-sl, -cc)] * (x1 - x0))  # classical: negate
-        fs_cell.sort(key=lambda t: t[0] * mid + t[1])
-        cells_data.append((a, b, fs_cell))
-        knots.append(b)
-
-    fs = []
-    for i in range(D):
-        vals = []
-        for j, (a, b, fc) in enumerate(cells_data):
-            s, c = fc[i]
-            if j == 0:
-                vals.append(s * a + c)
-            vals.append(s * b + c)
-        fs.append(PiecewiseAffine(knots, vals))
-    Fs = []
-    acc = None
-    for f in fs:
-        acc = f if acc is None else pa_combine("sum", acc, f)
-        Fs.append(acc)
-    return SlopeFunctions(tuple(fs), tuple(Fs), (lo, hi))
+    h = [hull_at(d - i) for i in range(d - min(v) + 1)]
+    fs = tuple(b - a for a, b in zip(h, h[1:]))
+    Fs = tuple(g - h[0] for g in h[1:])
+    return SlopeFunctions(fs, Fs, (lo, hi))
 
 
 def _truncate(coeff, r, cut):

@@ -479,9 +479,11 @@ def tame_pullback(M: DiffModule, axis: str, n: int) -> DiffModule:
     if cfg.p > 0 and n % cfg.p == 0:
         raise ValueError(f"degree {n} is divisible by p = {cfg.p}")
     chain = cfg.t(idx + 1, n - 1) * cfg.scalar(n)
+    scale = [[n if i == j == idx else int(i == j) for j in range(cfg.n_geom)]
+             for i in range(cfg.n_geom)]
     mats = {}
     for a, A in M.matrices.items():
-        sub = [[x.scale_geom_exponent(idx, n) for x in row] for row in A]
+        sub = [[x.substitute_geom(scale) for x in row] for row in A]
         if a == axis:
             sub = [[chain * x for x in row] for row in sub]
         mats[a] = sub

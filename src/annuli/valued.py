@@ -399,14 +399,6 @@ class LaurentElement:
             out[k] = out.get(k, Fraction(0)) + c
         return LaurentElement(self.config, out)
 
-    def scale_geom_exponent(self, k_axis: int, factor: int) -> "LaurentElement":
-        """Replace ``t_k`` by ``s^factor``: multiply that exponent by factor."""
-        out: dict = {}
-        for (e, i), c in self.terms.items():
-            i2 = i[:k_axis] + (i[k_axis] * factor,) + i[k_axis + 1 :]
-            out[(e, i2)] = out.get((e, i2), Fraction(0)) + c
-        return LaurentElement(self.config, out)
-
     def gauss_valuation(self, r: Sequence) -> ValuationValue:
         return gauss_valuation(self, r)
 

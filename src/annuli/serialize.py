@@ -64,15 +64,47 @@ def laurent_to_obj(x: LaurentElement) -> dict:
     return {"terms": terms}
 
 
-def laurent_from_obj(config: ValuationConfig, obj: dict) -> LaurentElement:
+def _expect(x, kind, path: str, what: str):
+    if not isinstance(x, kind):
+        raise ValueError(f"{path}: expected {what}, got {type(x).__name__}")
+    return x
+
+
+def _exponents(term: dict, name: str, n: int, path: str) -> tuple:
+    e = term.get(name, [0] * n)
+    if not (isinstance(e, list) and len(e) == n and all(type(a) is int for a in e)):
+        raise ValueError(f"{path}.{name}: expected a list of {n} integers, got {e!r}")
+    return tuple(e)
+
+
+def _laurent(config: ValuationConfig, obj, path: str) -> LaurentElement:
+    _expect(obj, dict, path, "an object with a 'terms' list")
     terms = {}
-    for t in obj["terms"]:
-        key = (tuple(t.get("u", [0] * config.m_base)), tuple(t.get("t", [0] * config.n_geom)))
-        terms[key] = terms.get(key, Fraction(0)) + parse_frac(t["c"])
+    for k, t in enumerate(_expect(obj.get("terms"), list, f"{path}.terms", "a list")):
+        at = f"{path}.terms[{k}]"
+        _expect(t, dict, at, "an object")
+        unknown = sorted(set(t) - {"c", "u", "t"})
+        if unknown:
+            raise ValueError(f"{at}: unknown key {unknown[0]!r} (allowed: c, u, t)")
+        if "c" not in t:
+            raise ValueError(f"{at}: missing coefficient 'c'")
+        try:
+            c = parse_frac(t["c"])
+        except ValueError as e:
+            raise ValueError(f"{at}.c: {e}") from None
+        key = (_exponents(t, "u", config.m_base, at), _exponents(t, "t", config.n_geom, at))
+        terms[key] = terms.get(key, Fraction(0)) + c
     return LaurentElement(config, terms)
 
 
+def laurent_from_obj(config: ValuationConfig, obj: dict) -> LaurentElement:
+    """Read ``{"terms": [{"c", "u", "t"}, ...]}``; ``ValueError`` names a malformed part."""
+    return _laurent(config, obj, "element")
+
+
 def config_from_obj(obj: dict) -> ValuationConfig:
+    if "p" not in obj:
+        raise ValueError("input has no 'p' key")
     p = int(obj["p"])
     u_weights = [parse_frac(w) for w in obj.get("u_weights", [])]
     if "n_geom" in obj:
@@ -84,14 +116,20 @@ def config_from_obj(obj: dict) -> ValuationConfig:
 
 
 def module_from_obj(obj: dict) -> DiffModule:
-    if "matrices" not in obj:
-        raise ValueError("module input has no 'matrices' key")
+    """Read a module object; ``ValueError`` names a malformed part by its path."""
+    for key in ("matrices", "rank"):
+        if key not in obj:
+            raise ValueError(f"module input has no {key!r} key")
+    mats = _expect(obj["matrices"], dict, "matrices", "an object")
     cfg = config_from_obj(obj)
-    mats = {
-        a: [[laurent_from_obj(cfg, x) for x in row] for row in mat]
-        for a, mat in obj["matrices"].items()
-    }
-    return DiffModule(cfg, int(obj["rank"]), mats)
+    out = {}
+    for a, mat in mats.items():
+        out[a] = [
+            [_laurent(cfg, x, f"matrices.{a}[{i}][{j}]")
+             for j, x in enumerate(_expect(row, list, f"matrices.{a}[{i}]", "a list"))]
+            for i, row in enumerate(_expect(mat, list, f"matrices.{a}", "a list of rows"))
+        ]
+    return DiffModule(cfg, int(obj["rank"]), out)
 
 
 def poly_to_obj(P: TwistedPoly) -> dict:
@@ -104,7 +142,8 @@ def poly_to_obj(P: TwistedPoly) -> dict:
 
 
 def poly_from_obj(config: ValuationConfig, obj: dict) -> TwistedPoly:
-    coeffs = [laurent_from_obj(config, c) for c in obj["coeffs"]]
+    coeffs = [_laurent(config, c, f"coeffs[{i}]")
+              for i, c in enumerate(_expect(obj.get("coeffs"), list, "coeffs", "a list"))]
     return TwistedPoly(config, obj["derivation"], coeffs)
 
 

@@ -345,14 +345,37 @@ def test_usage_error_exits_1_and_verifier_failure_exits_2(tmp_path, capsys):
     assert run(capsys, ["verify", "--input", path, "--mode", "disc"])[0] == 2
 
 
+def rank1_with(t1=None, terms=None, drop=None):
+    """``rank1_module_obj`` with the t1 matrix, its entry's terms or one key replaced."""
+    obj = rank1_module_obj()
+    if t1 is not None:
+        obj["matrices"]["t1"] = t1
+    if terms is not None:
+        obj["matrices"]["t1"][0][0]["terms"] = terms
+    if drop is not None:
+        del obj[drop]
+    return obj
+
+
 @pytest.mark.parametrize(
     "obj, window, named",
     [
         ([rank1_module_obj()], ["1", "2"], "list"),  # top-level JSON list
         ({"rank": 1, "p": 2, "n_geom": 1}, ["1", "2"], "'matrices'"),
         (rank1_module_obj(), ["1/0", "2"], "'1/0'"),
+        (rank1_with(t1=[["x"]]), ["0", "1"], "matrices.t1[0][0]:"),
+        (rank1_with(t1=[[0]]), ["0", "1"], "matrices.t1[0][0]:"),
+        (rank1_with(terms=5), ["0", "1"], "matrices.t1[0][0].terms:"),
+        (rank1_with(terms=[["1", [], [-2]]]), ["0", "1"], "matrices.t1[0][0].terms[0]:"),
+        (rank1_with(t1=5), ["0", "1"], "matrices.t1:"),
+        (rank1_with(terms=[{"c": "1", "e": [-2]}]), ["0", "1"], "unknown key 'e'"),
+        (rank1_with(terms=[{"c": "1", "t": [-1.5]}]), ["0", "1"], "matrices.t1[0][0].terms[0].t:"),
+        (rank1_with(terms=[{"t": [-2]}]), ["0", "1"], "missing coefficient 'c'"),
+        (rank1_with(drop="rank"), ["0", "1"], "'rank'"),
     ],
-    ids=["top_level_list", "no_matrices", "zero_denominator_window"],
+    ids=["top_level_list", "no_matrices", "zero_denominator_window", "entry_string",
+         "entry_number", "terms_number", "term_list", "matrix_number", "unknown_term_key",
+         "fractional_exponent", "no_coefficient", "no_rank"],
 )
 def test_bad_input_exits_1_naming_it(tmp_path, capsys, obj, window, named):
     path = write(tmp_path, "m.json", obj)
@@ -360,3 +383,4 @@ def test_bad_input_exits_1_naming_it(tmp_path, capsys, obj, window, named):
         capsys, ["radii", "--input", path, "--axis", "t1", "--window", *window]
     )
     assert code == 1 and out == "" and err.startswith("error:") and named in err
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,49 @@ def test_cyclic_diagonal_rank2(cfg2):
     assert P.degree == 2
     # the found vector has nonzero components on both blocks
     assert not vec[0].is_zero() and not vec[1].is_zero()
+
+
+def _random_twist_sum(cfg, rank, rng):
+    """Direct sum of rank-one modules ``c t^-k`` with distinct ``k``."""
+    M = None
+    for k in rng.sample(range(1, 7), rank):
+        c = F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+        R = rank_one(cfg, {"t1": cfg.scalar(c) * cfg.t(1, -k)})
+        M = R if M is None else direct_sum(M, R)
+    return M
+
+
+def _charpoly_cases():
+    rng = random.Random(5)
+    for p in (0, 2, 3):
+        for rank in (2, 3, 4):
+            yield pytest.param(_random_twist_sum(ValuationConfig(p), rank, rng), "t1",
+                               id=f"twists-p{p}-rank{rank}")
+    c = ValuationConfig(2)
+    N = [[c.t(1, -2), c.one()], [c.zero(), c.t(1, -3) + c.scalar(2) * c.t(1, -1)]]
+    yield pytest.param(DiffModule(c, 2, {"t1": N}), "t1", id="upper2")
+    c = ValuationConfig(2, (), 2)
+    t1, t2 = c.t(1), c.t(2)
+
+    def pot(k, m, n):  # d/dt_i of k t1^m t2^n
+        return {"t1": c.scalar(k * m) * t1 ** (m - 1) * t2 ** n,
+                "t2": c.scalar(k * n) * t1 ** m * t2 ** (n - 1)}
+
+    M = direct_sum(rank_one(c, pot(1, -1, -1)), rank_one(c, pot(-1, -1, -3)))
+    yield pytest.param(M, "t1", id="two-variable-t1")
+    yield pytest.param(M, "t2", id="two-variable-t2")
+
+
+@pytest.mark.parametrize("M, axis", _charpoly_cases())
+def test_charpoly_annihilates_cyclic_vector(M, axis):
+    """``sum c_i D^i v + D^d v == 0`` for the returned ``P = T^d + sum c_i T^i``."""
+    vec, P = cyclic_vector(M, axis)
+    assert P.is_monic() and P.degree == M.rank
+    acc, Dv = [P.coeff(0) * x for x in vec], vec
+    for c in P.coeffs[1:]:
+        Dv = apply_connection(M, axis, Dv)
+        acc = [a + c * x for a, x in zip(acc, Dv)]
+    assert not any(acc)
 
 
 def test_companion_roundtrip(cfg2):

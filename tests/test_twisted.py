@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -7,7 +8,10 @@ from annuli import (
     INF,
     TwistedPoly,
     ValuationConfig,
+    cyclic_vector,
+    direct_sum,
     newton_polygon,
+    rank_one,
     robba_factor,
     slope_functions,
     twisted_mul,
@@ -115,8 +119,8 @@ def test_slope_functions_constant_coeffs(cfg3):
     assert all(f.is_affine() and f.slopes() == (F(0),) for f in sf.fs)
 
 
-def test_parametric_hull_matches_pointwise(cfg2):
-    rng = random.Random(7)
+def _random_polys(cfg2, rng):
+    """Random monic polynomials with Laurent coefficients, some of them zero."""
     for _ in range(25):
         d = rng.randint(1, 4)
         coeffs = []
@@ -133,12 +137,34 @@ def test_parametric_hull_matches_pointwise(cfg2):
                        if rng.random() < 0.5 else cfg2.zero())
                 )
         coeffs.append(cfg2.one())
-        poly = P(cfg2, *coeffs)
+        yield P(cfg2, *coeffs)
+
+
+def _random_charpolys(rng):
+    """Cyclic-vector charpolys of twist sums; their coefficients are fractions."""
+    for p in (0, 2, 3):
+        for rank in (2, 3):
+            cfg = ValuationConfig(p)
+            M = None
+            for k in rng.sample(range(1, 6), rank):
+                c = F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+                R = rank_one(cfg, {"t1": cfg.scalar(c) * cfg.t(1, -k)})
+                M = R if M is None else direct_sum(M, R)
+            yield cyclic_vector(M, "t1")[1]
+
+
+def test_parametric_hull_matches_pointwise(cfg2):
+    """``fs`` equals the pointwise hull slopes at every knot, at the midpoint of
+    every piece and at random fibers, in ascending order."""
+    rng = random.Random(7)
+    for poly in chain(_random_polys(cfg2, rng), _random_charpolys(rng)):
         sf = slope_functions(poly, "t1", (F(-2), F(2)))
-        for _ in range(10):
-            r = F(rng.randint(-16, 16), 8)
-            np_ = newton_polygon(poly, [r])
-            assert sf.eval_slopes(r) == np_.classical_slope_list()
+        knots = sorted(set().union(*(f.knots for f in sf.fs)))
+        mids = [(a + b) / 2 for a, b in zip(knots, knots[1:])]
+        for r in knots + mids + [F(rng.randint(-16, 16), 8) for _ in range(10)]:
+            slopes = newton_polygon(poly, [r]).classical_slope_list()
+            assert [f(r) for f in sf.fs] == slopes
+            assert [Fs(r) for Fs in sf.Fs] == [sum(slopes[:i + 1]) for i in range(len(slopes))]
 
 
 def test_untwisted_additivity_of_polygons(cfg3):

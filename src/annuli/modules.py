@@ -317,28 +317,23 @@ def _cyclic_candidates(M: DiffModule, axis: str):
 def cyclic_vector(M: DiffModule, axis: str) -> Tuple[list, TwistedPoly]:
     """A cyclic vector over the rational-function field plus its annihilator.
 
-    For each candidate ``v`` the coefficients ``c_0, ..., c_{d-1}`` of the monic
-    ``P = T^d + sum c_i T^i`` solve ``W c = -D^d v`` with
-    ``W = [v, Dv, ..., D^{d-1}v]``, in one exact :func:`valued.solve` over
-    fractions; ``P(D)v = 0`` then holds by construction.  A singular ``W``
-    (``v`` not cyclic) raises ``ZeroDivisionError`` there and the next
-    candidate is tried.  The solution is unique, so the coefficients do not
-    depend on the elimination beyond their stored ``num``/``den``.
+    For each candidate ``v``, one exact :func:`valued.solve` of
+    ``[v, Dv, ..., D^{d-1}v] c = -D^d v`` over fractions gives the monic
+    ``P = T^d + sum c_i T^i`` with ``P(D)v = 0``.  A singular system means
+    ``v`` is not cyclic, and the next candidate is tried.
     """
-    cfg = M.config
     d = M.rank
     tried = 0
     for vec in _cyclic_candidates(M, axis):
         cols = [vec]
         for _ in range(d):
             cols.append(apply_connection(M, axis, cols[-1]))
-        W = [[cols[j][i] for j in range(d)] for i in range(d)]
         try:
-            X = solve(W, [[-x] for x in cols[d]])[0]
+            X = solve(list(zip(*cols[:d])), [[-x] for x in cols[d]])[0]
         except ZeroDivisionError:
             tried += 1
             continue
-        return vec, TwistedPoly(cfg, axis, [row[0] for row in X] + [FracElement(cfg.one())])
+        return vec, TwistedPoly(M.config, axis, [row[0] for row in X] + [M.config.one()])
     raise CyclicSearchError(f"cyclic search bound exceeded after {tried} candidates")
 
 

@@ -329,26 +329,19 @@ class SlopeFunctions:
 def slope_functions(P: TwistedPoly, axis: str, window, frozen: Sequence = ()) -> SlopeFunctions:
     """Exact parametric Newton polygon along one geometric axis.
 
-    Each nonzero coefficient ``a_i`` has the exact valuation function
-    ``v_i(r)`` of :func:`valued.valuation_function`.  At a fiber the lower
-    hull at an integer ``x`` is the least of ``v_x(r)`` (when ``a_x != 0``)
-    and the chord values ``((b - x) v_a(r) + (x - a) v_b(r)) / (b - a)`` over
-    nonzero indices ``a < x < b``; each is piecewise affine in ``r``, so the
-    hull height ``h(x)`` is their exact pointwise minimum.  With ``d`` the
-    degree, the classical partial sums are ``F_i = h(d - i) - h(d)`` and the
-    slope functions ``f_i = F_i - F_{i-1}``, ascending in ``i`` at every ``r``
-    because the hull is convex.  Returns the ``f_i`` plus the partial sums.
+    With ``v_i`` the valuation function of the coefficient ``a_i``, the lower
+    hull at an integer ``x`` is, at each fiber, the least of ``v_x`` (when
+    ``a_x != 0``) and the chords ``((b - x) v_a + (x - a) v_b) / (b - a)`` over
+    nonzero indices ``a < x < b``.  So its height ``h(x)`` is an exact minimum
+    of piecewise-affine functions of ``r``.  Returns the classical slope
+    functions ``f_i = F_i - F_{i-1}``, ascending, and their partial sums
+    ``F_i = h(d - i) - h(d)``, ``d`` the degree.
     """
     if P.is_zero():
         raise ValueError("slope functions of the zero polynomial")
     lo, hi = Fraction(window[0]), Fraction(window[1])
-    if lo >= hi:
-        raise ValueError("window must be nondegenerate")
     v = {i: valuation_function(c, axis, (lo, hi), frozen)
          for i, c in enumerate(P.coeffs) if not c.is_zero()}
-    d = P.degree
-    if d not in v:
-        raise ValueError("leading coefficient vanishes identically")
 
     def hull_at(x):
         vals = [v[x]] if x in v else []
@@ -356,7 +349,7 @@ def slope_functions(P: TwistedPoly, axis: str, window, frozen: Sequence = ()) ->
                  for a in v if a < x for b in v if b > x]
         return reduce(partial(pa_combine, "min"), vals)
 
-    h = [hull_at(d - i) for i in range(d - min(v) + 1)]
+    h = [hull_at(x) for x in range(P.degree, min(v) - 1, -1)]  # h[i] = h(d - i)
     fs = tuple(b - a for a, b in zip(h, h[1:]))
     Fs = tuple(g - h[0] for g in h[1:])
     return SlopeFunctions(fs, Fs, (lo, hi))

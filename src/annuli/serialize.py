@@ -82,12 +82,8 @@ def _laurent(config: ValuationConfig, obj, path: str) -> LaurentElement:
     terms = {}
     for k, t in enumerate(_expect(obj.get("terms"), list, f"{path}.terms", "a list")):
         at = f"{path}.terms[{k}]"
-        _expect(t, dict, at, "an object")
-        unknown = sorted(set(t) - {"c", "u", "t"})
-        if unknown:
-            raise ValueError(f"{at}: unknown key {unknown[0]!r} (allowed: c, u, t)")
-        if "c" not in t:
-            raise ValueError(f"{at}: missing coefficient 'c'")
+        if not (isinstance(t, dict) and "c" in t and set(t) <= {"c", "u", "t"}):
+            raise ValueError(f"{at}: expected an object with key c and optional u, t, got {t!r}")
         try:
             c = parse_frac(t["c"])
         except ValueError as e:

@@ -368,9 +368,9 @@ def rank1_with(t1=None, terms=None, drop=None):
         (rank1_with(terms=5), ["0", "1"], "matrices.t1[0][0].terms:"),
         (rank1_with(terms=[["1", [], [-2]]]), ["0", "1"], "matrices.t1[0][0].terms[0]:"),
         (rank1_with(t1=5), ["0", "1"], "matrices.t1:"),
-        (rank1_with(terms=[{"c": "1", "e": [-2]}]), ["0", "1"], "unknown key 'e'"),
+        (rank1_with(terms=[{"c": "1", "e": [-2]}]), ["0", "1"], "terms[0]: expected an object"),
         (rank1_with(terms=[{"c": "1", "t": [-1.5]}]), ["0", "1"], "matrices.t1[0][0].terms[0].t:"),
-        (rank1_with(terms=[{"t": [-2]}]), ["0", "1"], "missing coefficient 'c'"),
+        (rank1_with(terms=[{"t": [-2]}]), ["0", "1"], "matrices.t1[0][0].terms[0]:"),
         (rank1_with(drop="rank"), ["0", "1"], "'rank'"),
     ],
     ids=["top_level_list", "no_matrices", "zero_denominator_window", "entry_string",

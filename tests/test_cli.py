@@ -138,6 +138,15 @@ def test_factor_twisted(tmp_path, capsys):
     assert payload["polygon"]["slopes"] == [["0", 1], ["2", 1]]
 
 
+def test_factor_bad_coefficient_names_path(tmp_path, capsys):
+    poly = {"p": 2, "u_weights": [], "n_geom": 1, "derivation": "t1",
+            "coeffs": [{"terms": [{"c": "2", "t": [-3]}]}, {"terms": [{"c": "1", "e": [0]}]}]}
+    path = write(tmp_path, "p.json", poly)
+    code, out, err = run(capsys, ["factor", "--input", path, "--fiber", "1", "--split", "1",
+                                  "--precision", "10"])
+    assert code == 1 and out == "" and err.startswith("error: coeffs[1].terms[0]:")
+
+
 def test_polyhedral_roundtrip(tmp_path, capsys):
     obj = {
         "domain": {

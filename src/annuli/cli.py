@@ -18,14 +18,10 @@ from . import serialize as ser
 from .frobenius import check_push_pull_laws, frob_antecedent, frob_pull, frob_push
 from .polyhedral import multidim_loci, multidim_profile, reconstruct_polyhedral, synthetic_oracle
 from .profiles import build_radius_profile, decomposition_loci, verify_variation
-from .twisted import FactorizationError, newton_polygon, robba_factor, twisted_mul
+from .twisted import newton_polygon, robba_factor, twisted_mul
 from .valued import INF
 
 __all__ = ["main"]
-
-
-class InputError(Exception):
-    pass
 
 
 def _load_json(path: str) -> dict:
@@ -33,11 +29,11 @@ def _load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
+        raise ValueError(f"no such file: {path}")
     except json.JSONDecodeError as e:
-        raise InputError(f"malformed JSON in {path} at line {e.lineno} column {e.colno}: {e.msg}")
+        raise ValueError(f"malformed JSON in {path} at line {e.lineno} column {e.colno}: {e.msg}")
     if not isinstance(obj, dict):
-        raise InputError(f"{path}: top-level JSON value is a {type(obj).__name__}, not an object")
+        raise ValueError(f"{path}: top-level JSON value is a {type(obj).__name__}, not an object")
     return obj
 
 
@@ -127,15 +123,16 @@ def _profile_svg(profile) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _geometry_args(sub):
+def _geometry_args(sub, window=None):
     sub.add_argument("--axis", default="intrinsic", help="t1|u1|...|intrinsic")
     sub.add_argument("--geom", default="t1", help="geometric axis that varies")
-    sub.add_argument("--window", nargs=2, required=True, metavar=("a/b", "c/d"))
+    sub.add_argument("--window", nargs=2, required=window is None, default=window,
+                     metavar=("a/b", "c/d"))
     sub.add_argument("--frozen", default="", help="comma-separated fiber vector")
 
 
-def _build_profile_from_args(args):
-    obj = _load_json(args.input)
+def _module_profile(obj: dict, args):
+    """The radius profile of the module ``obj`` under the geometry flags."""
     M = ser.module_from_obj(obj)
     window = (ser.parse_frac(args.window[0]), ser.parse_frac(args.window[1]))
     frozen = _parse_frozen(args.frozen) or [Fraction(0)] * M.config.n_geom
@@ -143,7 +140,7 @@ def _build_profile_from_args(args):
 
 
 def cmd_radii(args) -> int:
-    profile = _build_profile_from_args(args)
+    profile = _module_profile(_load_json(args.input), args)
     if args.format == "csv":
         _emit(_profile_csv(profile), args.output)
     elif args.format == "svg":
@@ -155,13 +152,7 @@ def cmd_radii(args) -> int:
 
 def cmd_verify(args) -> int:
     obj = _load_json(args.input)
-    if "cells" in obj:
-        profile = ser.profile_from_obj(obj)
-    else:
-        M = ser.module_from_obj(obj)
-        window = (ser.parse_frac(args.window[0]), ser.parse_frac(args.window[1]))
-        frozen = _parse_frozen(args.frozen) or [Fraction(0)] * M.config.n_geom
-        profile = build_radius_profile(M, args.axis, args.geom, window, frozen)
+    profile = ser.profile_from_obj(obj) if "cells" in obj else _module_profile(obj, args)
     if profile.axis == "intrinsic":
         axis_class = "intrinsic"
     elif profile.axis.startswith("u"):
@@ -198,16 +189,13 @@ def cmd_factor(args) -> int:
     cfg = ser.config_from_obj(obj)
     P = ser.poly_from_obj(cfg, obj)
     r = _parse_frozen(args.fiber) or [Fraction(0)] * cfg.n_geom
-    try:
-        qlo, qhi, residual = robba_factor(
-            P, r, ser.parse_frac(args.split), ser.parse_frac(args.precision), budget=args.budget
-        )
-    except FactorizationError as e:
-        raise InputError(str(e))
+    qlo, qhi, residual = robba_factor(
+        P, r, ser.parse_frac(args.split), ser.parse_frac(args.precision), budget=args.budget
+    )
     check = P - twisted_mul(qlo, qhi)
     out = {
-        "q_low": ser.poly_to_obj(_as_polynomial(qlo)),
-        "q_high": ser.poly_to_obj(_as_polynomial(qhi)),
+        "q_low": ser.poly_to_obj(qlo),
+        "q_high": ser.poly_to_obj(qhi),
         "residual": "INF" if residual is INF else ser.frac_str(residual),
         "polygon": ser.polygon_to_obj(newton_polygon(P, r)),
     }
@@ -216,20 +204,6 @@ def cmd_factor(args) -> int:
         return 2
     _emit(ser.dumps(out), args.output)
     return 0
-
-
-def _as_polynomial(P):
-    from .twisted import TwistedPoly
-    from .valued import FracElement
-
-    coeffs = []
-    for c in P.coeffs:
-        if isinstance(c, FracElement):
-            if c.den != P.config.one():
-                raise InputError("factor has non-polynomial coefficients")
-            c = c.num
-        coeffs.append(c)
-    return TwistedPoly(P.config, P.axis, coeffs, P.twist_sign)
 
 
 def cmd_polyhedral(args) -> int:
@@ -248,7 +222,7 @@ def cmd_polyhedral(args) -> int:
         scale = int(obj.get("scale", math.factorial(M.rank) if level < M.rank else 1))
         oracle = module_slice_oracle(M, C, level, scale)
     else:
-        raise InputError("polyhedral input needs a functionals list or a module")
+        raise ValueError("polyhedral input needs a functionals list or a module")
     F = reconstruct_polyhedral(C, oracle)
     _emit(ser.dumps(ser.polyfunc_to_obj(F)), args.output)
     return 0
@@ -284,7 +258,7 @@ def cmd_loci(args) -> int:
         }
         _emit(ser.dumps(payload), args.output)
         return 0
-    profile = _build_profile_from_args(args)
+    profile = _module_profile(obj, args)
     loci = decomposition_loci(profile)
     payload = {
         "loci": [
@@ -317,10 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the variation verifier")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("disc", "annulus"), default="annulus")
-    p.add_argument("--axis", default="intrinsic")
-    p.add_argument("--geom", default="t1")
-    p.add_argument("--window", nargs=2, default=("0", "1"), metavar=("a/b", "c/d"))
-    p.add_argument("--frozen", default="")
+    _geometry_args(p, window=("0", "1"))
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)
 
@@ -346,10 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loci", help="decomposition loci of a profile or sliced region")
     p.add_argument("--input", required=True)
-    p.add_argument("--axis", default="intrinsic")
-    p.add_argument("--geom", default="t1")
-    p.add_argument("--window", nargs=2, default=("0", "1"), metavar=("a/b", "c/d"))
-    p.add_argument("--frozen", default="")
+    _geometry_args(p, window=("0", "1"))
     p.add_argument("--output")
     p.set_defaults(func=cmd_loci)
 
@@ -361,7 +329,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as e:
+    except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 

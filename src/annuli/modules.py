@@ -212,13 +212,9 @@ def from_companion(P: TwistedPoly) -> DiffModule:
     N = [[z for _ in range(d)] for _ in range(d)]
     for i in range(1, d):
         N[i][i - 1] = cfg.one()
+    P = P.laurent()
     for i in range(d):
-        c = P.coeff(i)
-        if isinstance(c, FracElement):
-            if c.den != cfg.one():
-                raise ValueError("companion module needs polynomial coefficients")
-            c = c.num
-        N[i][d - 1] = -c
+        N[i][d - 1] = -P.coeff(i)
     return DiffModule(cfg, d, {P.axis: N})
 
 
@@ -284,41 +280,40 @@ def spectral_valuation_estimate(M: DiffModule, axis: str, r: Sequence, n_max: in
 # -- cyclic vectors and radii -------------------------------------------------
 
 
-class CyclicSearchError(RuntimeError):
+class CyclicSearchError(ValueError):
     pass
 
 
 def _cyclic_candidates(M: DiffModule, axis: str):
     cfg = M.config
     d = M.rank
-    one = FracElement(cfg.one())
-    zero = FracElement(cfg.zero())
     kind, idx = cfg.axis_kind(axis)
     gens = [cfg.t(idx + 1) if kind == "t" else cfg.u(idx + 1)]
     gens += [cfg.t(k + 1) for k in range(cfg.n_geom) if (kind, idx) != ("t", k)]
     gens += [cfg.u(j + 1) for j in range(cfg.m_base) if (kind, idx) != ("u", j)]
 
     def e(i):
-        return [one if j == i else zero for j in range(d)]
+        return [cfg.one() if j == i else cfg.zero() for j in range(d)]
 
     yield e(0)
     for gen in gens:
         for k in range(0, 4):
             for i in range(1, d):
                 v = e(0)
-                v[i] = FracElement(gen ** k)
+                v[i] = gen ** k
                 yield v
         for k in range(0, 4):
-            yield [FracElement(gen ** (k * i)) for i in range(d)]
+            yield [gen ** (k * i) for i in range(d)]
     for lam in range(2, 8):
-        yield [FracElement(cfg.scalar(lam ** i)) for i in range(d)]
+        yield [cfg.scalar(lam ** i) for i in range(d)]
 
 
 def cyclic_vector(M: DiffModule, axis: str) -> Tuple[list, TwistedPoly]:
-    """A cyclic vector over the rational-function field plus its annihilator.
+    """A Laurent cyclic vector plus its annihilator over the rational-function field.
 
-    For each candidate ``v``, one exact :func:`valued.solve` of
-    ``[v, Dv, ..., D^{d-1}v] c = -D^d v`` over fractions gives the monic
+    Each candidate ``v`` is a Laurent vector, and :func:`apply_connection`
+    keeps ``v, Dv, ..., D^d v`` Laurent.  One exact :func:`valued.solve` of
+    ``[v, Dv, ..., D^{d-1}v] c = -D^d v`` over fractions then gives the monic
     ``P = T^d + sum c_i T^i`` with ``P(D)v = 0``.  A singular system means
     ``v`` is not cyclic, and the next candidate is tried.
     """
@@ -329,7 +324,8 @@ def cyclic_vector(M: DiffModule, axis: str) -> Tuple[list, TwistedPoly]:
         for _ in range(d):
             cols.append(apply_connection(M, axis, cols[-1]))
         try:
-            X = solve(list(zip(*cols[:d])), [[-x] for x in cols[d]])[0]
+            X = solve([[FracElement(x) for x in row] for row in zip(*cols[:d])],
+                      [[FracElement(-x)] for x in cols[d]])[0]
         except ZeroDivisionError:
             tried += 1
             continue
@@ -462,8 +458,9 @@ def intrinsic_radius_multi(M: DiffModule, r: Sequence) -> IntrinsicRadius:
 def tame_pullback(M: DiffModule, axis: str, n: int) -> DiffModule:
     """Substitute ``t_k -> s^n`` and rescale the derivation by the chain rule.
 
-    Fibers match along ``r_t = n * r_s``.  For ``p > 0`` the degree must be
-    prime to ``p``.
+    This is :func:`_monomial_pullback` with the diagonal exponent matrix, so
+    ``d/ds = n s^(n-1) d/dt_k``.  Fibers match along ``r_t = n * r_s``.  For
+    ``p > 0`` the degree must be prime to ``p``.
     """
     if n == 0:
         raise ValueError("n must be nonzero")
@@ -473,15 +470,30 @@ def tame_pullback(M: DiffModule, axis: str, n: int) -> DiffModule:
         raise ValueError("tame pullback substitutes a geometric variable")
     if cfg.p > 0 and n % cfg.p == 0:
         raise ValueError(f"degree {n} is divisible by p = {cfg.p}")
-    chain = cfg.t(idx + 1, n - 1) * cfg.scalar(n)
-    scale = [[n if i == j == idx else int(i == j) for j in range(cfg.n_geom)]
-             for i in range(cfg.n_geom)]
+    return _monomial_pullback(M, [[n if i == j == idx else int(i == j) for j in range(cfg.n_geom)]
+                                  for i in range(cfg.n_geom)])
+
+
+def _monomial_pullback(M: DiffModule, rows) -> DiffModule:
+    """Substitute ``t_i -> s^(column i of rows)`` and transform the connection.
+
+    The chain rule gives ``d/ds_k = sum_i rows[k][i] (t_i o s)/s_k d/dt_i``;
+    base-axis matrices are only substituted.
+    """
+    cfg = M.config
+    n = cfg.n_geom
+    sub = {a: [[x.substitute_geom(rows) for x in row] for row in A] for a, A in M.matrices.items()}
     mats = {}
-    for a, A in M.matrices.items():
-        sub = [[x.substitute_geom(scale) for x in row] for row in A]
-        if a == axis:
-            sub = [[chain * x for x in row] for row in sub]
-        mats[a] = sub
+    for a, A in sub.items():
+        kind, k = cfg.axis_kind(a)
+        if kind == "t":
+            A = [[cfg.zero()] * M.rank for _ in range(M.rank)]
+            for i in range(n):
+                if rows[k][i]:
+                    mono = cfg.monomial(rows[k][i], t=[rows[j][i] - (j == k) for j in range(n)])
+                    A = [[x + mono * y for x, y in zip(ra, rb)]
+                         for ra, rb in zip(A, sub[f"t{i + 1}"])]
+        mats[a] = A
     return DiffModule(cfg, M.rank, mats)
 
 

@@ -20,11 +20,11 @@ from functools import cmp_to_key
 from math import factorial, gcd, prod
 from typing import Callable, List, Optional, Sequence
 
-from .modules import DiffModule
+from .modules import DiffModule, _monomial_pullback
 from .profiles import RadiusProfile, build_radius_profile, decomposition_loci
 from .pwaffine import PiecewiseAffine, max_of_lines
 from .report import Report, check_convex, check_integral, clause, named
-from .valued import LaurentElement, solve
+from .valued import solve
 
 __all__ = [
     "AffineFunctional",
@@ -257,19 +257,18 @@ class PolyFunc:
 
     def canonical_on(self, C: TRPSet) -> "PolyFunc":
         """Drop functionals whose strict-domination cell has empty interior."""
-        keep = []
-        for k, f in enumerate(self.functionals):
-            cell = _cell(self, k, C)
-            verts = cell.vertices()
-            if C.dim == 1:
-                if len(verts) == 2:
-                    keep.append(f)
-            else:
-                if len(verts) >= 3 and _polygon_area2(verts) > 0:
-                    keep.append(f)
+        keep = [f for k, f in enumerate(self.functionals)
+                if _solid(_cell(self, k, C).vertices(), C.dim)]
         if not keep:
             keep = list(self.functionals)
         return PolyFunc(tuple(sorted(keep, key=lambda f: (f.slope, f.const))))
+
+
+def _solid(verts, dim: int) -> bool:
+    """True when the convex hull of ``verts`` (from :meth:`TRPSet.vertices`) has interior."""
+    if dim == 1:
+        return len(verts) == 2
+    return len(verts) >= 3 and _polygon_area2(verts) > 0
 
 
 def _polygon_area2(verts) -> Fraction:
@@ -408,7 +407,10 @@ def _compare_on_edge(oracle, F: PolyFunc, u, w):
     return None
 
 
-def reconstruct_polyhedral(C: TRPSet, slice_oracle: Callable, max_rounds: int = 200) -> PolyFunc:
+MAX_ROUNDS = 200  # refinement rounds of reconstruct_polyhedral before it gives up
+
+
+def reconstruct_polyhedral(C: TRPSet, slice_oracle: Callable) -> PolyFunc:
     """Rebuild a convex transintegral max-of-affines function from 1-D slices.
 
     Supporting functionals are collected by gradient probes at cell-interior
@@ -425,7 +427,7 @@ def reconstruct_polyhedral(C: TRPSet, slice_oracle: Callable, max_rounds: int = 
     if not C.is_compact():
         raise ValueError("domain must be compact")
     verts = C.vertices()
-    if (n == 1 and len(verts) < 2) or (n == 2 and (len(verts) < 3 or _polygon_area2(verts) == 0)):
+    if not _solid(verts, n):
         raise ValueError("domain must be full-dimensional")
     centroid = tuple(
         sum((Fraction(v[i]) for v in verts), Fraction(0)) / len(verts) for i in range(n)
@@ -442,7 +444,7 @@ def reconstruct_polyhedral(C: TRPSet, slice_oracle: Callable, max_rounds: int = 
         if got is not None and got[0] not in funcs:
             funcs.append(got[0])
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         F = PolyFunc(tuple(funcs))
         edges = _complex_edges(F, C)
         new_point = None
@@ -465,7 +467,7 @@ def reconstruct_polyhedral(C: TRPSet, slice_oracle: Callable, max_rounds: int = 
                 f"discrepancy at {new_point} but no new supporting functional"
             )
         funcs.append(lam)
-    raise OracleInconsistency(f"no convergence after {max_rounds} refinement rounds")
+    raise OracleInconsistency(f"no convergence after {MAX_ROUNDS} refinement rounds")
 
 
 def _complex_edges(F: PolyFunc, C: TRPSet) -> list:
@@ -475,18 +477,6 @@ def _complex_edges(F: PolyFunc, C: TRPSet) -> list:
     def add(u, w):
         if u != w:
             edges.add((u, w) if u <= w else (w, u))
-
-    if C.dim == 1:
-        verts = sorted(C.vertices())
-        cuts = {verts[0][0], verts[-1][0]}
-        for j in range(len(F.functionals)):
-            cell = _cell(F, j, C)
-            for v in cell.vertices():
-                cuts.add(v[0])
-        xs = sorted(cuts)
-        for a, b in zip(xs, xs[1:]):
-            add((a,), (b,))
-        return sorted(edges)
 
     for j in range(len(F.functionals)):
         cell = _cell(F, j, C)
@@ -609,45 +599,18 @@ def unimodular_completion(direction: Sequence) -> UnimodularMatrix:
 def toroidal_pullback(M: DiffModule, A: UnimodularMatrix) -> DiffModule:
     """Substitute ``t_i -> s^(column i of A)`` and transform the connection.
 
-    The new geometric action is ``d/ds_k = sum_i A[k][i] (t_i o s)/s_k d/dt_i``;
-    base-axis matrices are substituted unchanged.  Fibers correspond along
-    ``r = A^T rho``; intrinsic radii are invariant at matched fibers.
+    This is :func:`annuli.modules._monomial_pullback` with the rows of ``A``:
+    ``d/ds_k = sum_i A[k][i] (t_i o s)/s_k d/dt_i``, and base-axis matrices
+    are only substituted.  Fibers correspond along ``r = A^T rho``; intrinsic
+    radii are invariant at matched fibers.
     """
-    cfg = M.config
-    n = cfg.n_geom
+    n = M.config.n_geom
     if A.n != n:
         raise ValueError("matrix size must match the geometric variable count")
-    geom_axes = [f"t{k + 1}" for k in range(n)]
-    for ax in geom_axes:
-        if ax not in M.matrices:
-            raise ValueError(f"module must carry all geometric actions, missing {ax}")
-    rows = [list(r) for r in A.rows]
-
-    def sub(el: LaurentElement) -> LaurentElement:
-        return el.substitute_geom(rows)
-
-    mats = {}
-    for ax, mat in M.matrices.items():
-        kind, _ = cfg.axis_kind(ax)
-        if kind == "u":
-            mats[ax] = [[sub(x) for x in row] for row in mat]
     for k in range(n):
-        acc = [[cfg.zero() for _ in range(M.rank)] for _ in range(M.rank)]
-        for i in range(n):
-            coef = rows[k][i]
-            if coef == 0:
-                continue
-            expo = [A.column(i)[row] for row in range(n)]
-            expo[k] -= 1
-            mono = cfg.monomial(coef, t=expo)
-            Ni = M.matrices[geom_axes[i]]
-            for r_ in range(M.rank):
-                for c_ in range(M.rank):
-                    term = mono * sub(Ni[r_][c_])
-                    if not term.is_zero():
-                        acc[r_][c_] = acc[r_][c_] + term
-        mats[geom_axes[k]] = acc
-    return DiffModule(cfg, M.rank, mats)
+        if f"t{k + 1}" not in M.matrices:
+            raise ValueError(f"module must carry all geometric actions, missing t{k + 1}")
+    return _monomial_pullback(M, A.rows)
 
 
 def fiber_to_source(A: UnimodularMatrix, r: Sequence) -> tuple:

@@ -94,14 +94,11 @@ class RadiusProfile:
 
 
 def _tau_line(config, axis: str, geom_axis: str, frozen) -> tuple:
-    """Operator valuation of ``axis`` as an affine function of the varying radius."""
-    kind, idx = config.axis_kind(axis)
-    if kind == "u":
-        return (Fraction(0), -config.u_weights[idx])
-    gkind, gidx = config.axis_kind(geom_axis)
-    if idx == gidx:
-        return (Fraction(-1), Fraction(0))
-    return (Fraction(0), -Fraction(frozen[idx]))
+    """Operator valuation of ``axis`` as ``(slope, value at 0)`` in the varying radius."""
+    geom = config.axis_kind(geom_axis)
+    at_zero = [0 if k == geom[1] else x for k, x in enumerate(frozen)]
+    slope = -1 if config.axis_kind(axis) == geom else 0
+    return (Fraction(slope), config.operator_valuation(axis, at_zero))
 
 
 def build_radius_profile(
@@ -361,13 +358,13 @@ class SwanBreaks:
     report: Report
 
 
-def swan_breaks(profile: RadiusProfile, partition: Sequence = None) -> SwanBreaks:
+def swan_breaks(profile: RadiusProfile) -> SwanBreaks:
     """Limiting right-slopes at the solvable boundary ``r -> 0+``.
 
     Every intrinsic ``f_i`` must extrapolate to 0 at ``r = 0`` on the leftmost
-    cell; the breaks are the leftmost slopes, grouped by equal value (or by a
-    supplied rank partition).  The weighted sum of breaks is checked to be an
-    integer and all breaks nonnegative.
+    cell; the breaks are the leftmost slopes, grouped by equal value.  The
+    weighted sum of breaks is checked to be an integer and all breaks
+    nonnegative.
     """
     if profile.kind != "intrinsic":
         raise ValueError("swan breaks read an intrinsic profile")
@@ -391,24 +388,12 @@ def swan_breaks(profile: RadiusProfile, partition: Sequence = None) -> SwanBreak
                     f"f_{i} capped near the boundary: breaks uncertified for p > 0"
                 )
     rep = Report()
-    if partition is not None:
-        if sum(partition) != profile.rank:
-            raise ValueError("partition must sum to the rank")
-        groups = []
-        pos = 0
-        for size in partition:
-            chunk = bs[pos : pos + size]
-            if any(x != chunk[0] for x in chunk):
-                raise ValueError(f"partition group at {pos} has unequal breaks {chunk}")
-            groups.append((chunk[0], size))
-            pos += size
-    else:
-        groups = []
-        for b in bs:
-            if groups and groups[-1][0] == b:
-                groups[-1] = (b, groups[-1][1] + 1)
-            else:
-                groups.append((b, 1))
+    groups = []
+    for b in bs:
+        if groups and groups[-1][0] == b:
+            groups[-1] = (b, groups[-1][1] + 1)
+        else:
+            groups.append((b, 1))
     total = sum((b * m for b, m in groups), Fraction(0))
     rep.add(
         "break integrality",

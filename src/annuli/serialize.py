@@ -70,6 +70,20 @@ def _expect(x, kind, path: str, what: str):
     return x
 
 
+def _int(obj: dict, key: str) -> int:
+    """The integer field ``obj[key]``; a ``bool`` or any other type is refused."""
+    if type(obj[key]) is not int:
+        raise ValueError(f"{key}: expected an integer, got {obj[key]!r}")
+    return obj[key]
+
+
+def _frac(x, path: str) -> Fraction:
+    try:
+        return parse_frac(x)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _exponents(term: dict, name: str, n: int, path: str) -> tuple:
     e = term.get(name, [0] * n)
     if not (isinstance(e, list) and len(e) == n and all(type(a) is int for a in e)):
@@ -84,10 +98,7 @@ def _laurent(config: ValuationConfig, obj, path: str) -> LaurentElement:
         at = f"{path}.terms[{k}]"
         if not (isinstance(t, dict) and "c" in t and set(t) <= {"c", "u", "t"}):
             raise ValueError(f"{at}: expected an object with key c and optional u, t, got {t!r}")
-        try:
-            c = parse_frac(t["c"])
-        except ValueError as e:
-            raise ValueError(f"{at}.c: {e}") from None
+        c = _frac(t["c"], f"{at}.c")
         key = (_exponents(t, "u", config.m_base, at), _exponents(t, "t", config.n_geom, at))
         terms[key] = terms.get(key, Fraction(0)) + c
     return LaurentElement(config, terms)
@@ -99,12 +110,14 @@ def laurent_from_obj(config: ValuationConfig, obj: dict) -> LaurentElement:
 
 
 def config_from_obj(obj: dict) -> ValuationConfig:
+    """Read ``p``, ``u_weights`` and ``n_geom``; ``ValueError`` names a malformed field."""
     if "p" not in obj:
         raise ValueError("input has no 'p' key")
-    p = int(obj["p"])
-    u_weights = [parse_frac(w) for w in obj.get("u_weights", [])]
+    p = _int(obj, "p")
+    weights = _expect(obj.get("u_weights", []), list, "u_weights", "a list of rationals")
+    u_weights = [_frac(w, f"u_weights[{k}]") for k, w in enumerate(weights)]
     if "n_geom" in obj:
-        n_geom = int(obj["n_geom"])
+        n_geom = _int(obj, "n_geom")
     else:
         tkeys = [k for k in obj.get("matrices", {}) if k.startswith("t")]
         n_geom = max((int(k[1:]) for k in tkeys), default=1)
@@ -125,22 +138,22 @@ def module_from_obj(obj: dict) -> DiffModule:
              for j, x in enumerate(_expect(row, list, f"matrices.{a}[{i}]", "a list"))]
             for i, row in enumerate(_expect(mat, list, f"matrices.{a}", "a list of rows"))
         ]
-    return DiffModule(cfg, int(obj["rank"]), out)
+    return DiffModule(cfg, _int(obj, "rank"), out)
 
 
 def poly_to_obj(P: TwistedPoly) -> dict:
-    coeffs = []
-    for c in P.coeffs:
-        if not isinstance(c, LaurentElement):
-            raise ValueError("only polynomial coefficients serialize")
-        coeffs.append(laurent_to_obj(c))
-    return {"derivation": P.axis, "coeffs": coeffs}
+    """``{"derivation", "coeffs"}``; ``ValueError`` unless every coefficient is Laurent."""
+    return {"derivation": P.axis, "coeffs": [laurent_to_obj(c) for c in P.laurent().coeffs]}
 
 
 def poly_from_obj(config: ValuationConfig, obj: dict) -> TwistedPoly:
+    """Read ``{"derivation", "coeffs"}``; ``ValueError`` names a malformed part."""
+    if "derivation" not in obj:
+        raise ValueError("polynomial input has no 'derivation' key")
+    axis = _expect(obj["derivation"], str, "derivation", "an axis name")
     coeffs = [_laurent(config, c, f"coeffs[{i}]")
               for i, c in enumerate(_expect(obj.get("coeffs"), list, "coeffs", "a list"))]
-    return TwistedPoly(config, obj["derivation"], coeffs)
+    return TwistedPoly(config, axis, coeffs)
 
 
 def polygon_to_obj(np_: NewtonPolygon) -> dict:

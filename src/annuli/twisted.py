@@ -119,6 +119,18 @@ class TwistedPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == self.config.one()
 
+    def laurent(self) -> "TwistedPoly":
+        """The same polynomial over Laurent coefficients; ``ValueError`` if one is
+        a fraction whose denominator is not a monomial."""
+        cs = []
+        for c in self.coeffs:
+            if isinstance(c, FracElement):
+                if len(c.den.terms) != 1:
+                    raise ValueError("polynomial has non-Laurent coefficients")
+                c = c.num * c.den ** -1
+            cs.append(c)
+        return self._clone(cs)
+
     def is_untwisted(self) -> bool:
         """True when the derivation kills every coefficient."""
         return all(c.derive(self.axis).is_zero() for c in self.coeffs)
@@ -225,20 +237,14 @@ def twisted_mul(P: TwistedPoly, Q: TwistedPoly) -> TwistedPoly:
 def opposite(P: TwistedPoly) -> TwistedPoly:
     """Image of ``P`` under the anti-isomorphism to the oppositely twisted ring.
 
-    Coefficients are pushed through the variable in the target ring, where
+    Each ``a_i T^i`` maps to ``T^i a_i``, expanded by
+    :meth:`TwistedPoly.monomial_times` in the target ring, where
     ``T a = a T - d(a)``; applying the map twice returns the input.
     """
     target = TwistedPoly(P.config, P.axis, [], -P.twist_sign)
     for i, a in enumerate(P.coeffs):
-        if a.is_zero():
-            continue
-        da = a
-        cs = [P.config.zero()] * (i + 1)
-        for l in range(i + 1):
-            cs[i - l] = cs[i - l] + comb(i, l) * da
-            if l < i:
-                da = target._d(da)
-        target = target + TwistedPoly(P.config, P.axis, cs, -P.twist_sign)
+        if not a.is_zero():
+            target = target + target.monomial_times(P.config.one(), i, target._clone([a]))
     return target
 
 

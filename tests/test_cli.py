@@ -381,10 +381,17 @@ def rank1_with(t1=None, terms=None, drop=None):
         (rank1_with(terms=[{"c": "1", "t": [-1.5]}]), ["0", "1"], "matrices.t1[0][0].terms[0].t:"),
         (rank1_with(terms=[{"t": [-2]}]), ["0", "1"], "matrices.t1[0][0].terms[0]:"),
         (rank1_with(drop="rank"), ["0", "1"], "'rank'"),
+        (dict(rank1_module_obj(), rank=[1]), ["0", "1"], "rank: expected an integer"),
+        (dict(rank1_module_obj(), n_geom=[1]), ["0", "1"], "n_geom: expected an integer"),
+        (dict(rank1_module_obj(), u_weights=5), ["0", "1"], "u_weights: expected a list"),
+        (dict(rank1_module_obj(), p=2.5), ["0", "1"], "p: expected an integer"),
+        (dict(rank1_module_obj(), rank=1.5), ["0", "1"], "rank: expected an integer"),
+        (dict(rank1_module_obj(), rank=True), ["0", "1"], "rank: expected an integer"),
     ],
     ids=["top_level_list", "no_matrices", "zero_denominator_window", "entry_string",
          "entry_number", "terms_number", "term_list", "matrix_number", "unknown_term_key",
-         "fractional_exponent", "no_coefficient", "no_rank"],
+         "fractional_exponent", "no_coefficient", "no_rank", "rank_list", "n_geom_list",
+         "u_weights_number", "fractional_p", "fractional_rank", "boolean_rank"],
 )
 def test_bad_input_exits_1_naming_it(tmp_path, capsys, obj, window, named):
     path = write(tmp_path, "m.json", obj)
@@ -392,4 +399,26 @@ def test_bad_input_exits_1_naming_it(tmp_path, capsys, obj, window, named):
         capsys, ["radii", "--input", path, "--axis", "t1", "--window", *window]
     )
     assert code == 1 and out == "" and err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
+def test_factor_without_derivation_exits_1(tmp_path, capsys):
+    poly = {"p": 2, "u_weights": [], "n_geom": 1, "coeffs": [{"terms": [{"c": "1"}]}]}
+    path = write(tmp_path, "p.json", poly)
+    code, out, err = run(capsys, ["factor", "--input", path, "--fiber", "1", "--split", "1",
+                                  "--precision", "10"])
+    assert code == 1 and out == "" and err.startswith("error:") and "'derivation'" in err
+    assert "Traceback" not in err
+
+
+def test_failed_cyclic_search_exits_1(tmp_path, capsys, monkeypatch):
+    import annuli.modules as modules
+
+    def singular(M, axis):
+        yield [M.config.zero()] * M.rank
+
+    monkeypatch.setattr(modules, "_cyclic_candidates", singular)
+    path = write(tmp_path, "m.json", rank1_module_obj())
+    code, out, err = run(capsys, ["radii", "--input", path, "--axis", "t1", "--window", "1", "2"])
+    assert code == 1 and out == "" and err.startswith("error: cyclic search")
     assert "Traceback" not in err

@@ -173,6 +173,12 @@ def test_companion_roundtrip(cfg2):
     assert P.coeff(0) == -cfg2.t(1) and P.coeff(1).is_zero()
 
 
+def test_companion_of_charpoly(cfg2):
+    # the charpoly stores -t^-2 as the fraction -1/t^2, a Laurent coefficient all the same
+    M = rank_one(cfg2, {"t1": cfg2.t(1, -2)})
+    assert from_companion(cyclic_vector(M, "t1")[1]).matrices == M.matrices
+
+
 def test_visible_radii_rank1(cfg2):
     M = rank_one(cfg2, {"t1": cfg2.t(1, -2)})
     ext = visible_radii(M, "t1", [F(1)])

@@ -227,6 +227,25 @@ def test_toroidal_composition():
         assert lhs.matrices[ax][0][0] == rhs.matrices[ax][0][0]
 
 
+def test_tame_and_toroidal_pullbacks_agree():
+    from annuli import tame_pullback
+
+    cfg = ValuationConfig(3, (F(1, 2),), 2)
+    u1, t1, t2 = cfg.u(1), cfg.t(1), cfg.t(2)
+    # the connection d(f) of f = 2 u1 t1^-1 + t2^-2 + u1^2 t1
+    M = rank_one(cfg, {
+        "u1": cfg.scalar(2) * t1 ** -1 + cfg.scalar(2) * u1 * t1,
+        "t1": cfg.scalar(-2) * u1 * t1 ** -2 + u1 ** 2,
+        "t2": cfg.scalar(-2) * t2 ** -3,
+    })
+    tame = tame_pullback(M, "t2", -1)
+    toroidal = toroidal_pullback(M, UnimodularMatrix.make([[1, 0], [0, -1]]))
+    for ax in ("u1", "t1", "t2"):
+        assert tame.matrices[ax][0][0] == toroidal.matrices[ax][0][0]
+    assert toroidal.matrices["u1"][0][0] == M.matrices["u1"][0][0]
+    assert toroidal.matrices["t2"][0][0] == cfg.scalar(2) * t2  # d(s^2)/ds
+
+
 def test_toroidal_intrinsic_invariance():
     from annuli import intrinsic_radius_multi
 

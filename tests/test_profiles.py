@@ -233,3 +233,16 @@ def test_decomposition_loci_maximal(cfg2):
         if lo != prof.window[0] or hi != prof.window[1]:
             mid_vals = prof.eval_visible(F(2))
             assert mid_vals[i - 1] == mid_vals[i]  # the crossing pins the endpoint
+
+
+@pytest.mark.parametrize("axis", ["t1", "intrinsic"])
+def test_visibility_crossing_inside_a_piece(cfg2, axis):
+    # 4 t^-2 turns visible at r = 2 inside an affine piece of its slope function, and
+    # the two loci atoms on either side of that cut merge into one
+    M = direct_sum(
+        rank_one(cfg2, {"t1": cfg2.scalar(4) * cfg2.t(1, -2)}),
+        rank_one(cfg2, {"t1": cfg2.t(1, -3)}),
+    )
+    prof = build_radius_profile(M, axis, "t1", (F(1), F(3)))
+    assert [(c.lo, c.hi, c.m) for c in prof.cells] == [(1, 2, 1), (2, 3, 2)]
+    assert decomposition_loci(prof) == [(1, (F(1), F(3)))]

@@ -203,6 +203,17 @@ def test_opposite_is_involutive_antihomomorphism(cfg2):
     assert opposite(twisted_mul(A, B)) == twisted_mul(opposite(B), opposite(A))
 
 
+def test_laurent_coefficients(cfg2):
+    from annuli import FracElement, LaurentElement
+
+    t = cfg2.t(1)
+    frac = P(cfg2, FracElement(t ** -2), FracElement(t + cfg2.one()), cfg2.one())
+    got = frac.laurent()
+    assert all(isinstance(c, LaurentElement) for c in got.coeffs) and got == frac
+    with pytest.raises(ValueError, match="non-Laurent"):
+        P(cfg2, FracElement(cfg2.one(), t + cfg2.one()), cfg2.one()).laurent()
+
+
 # -- robba_factor ----------------------------------------------------------------
 
 

@@ -524,14 +524,18 @@ def _approx_mat(A, r, cut):
 def decompose_fiber(M: DiffModule, axis: str, r: Sequence, precision) -> list:
     """Split a fiber by visible radii via two-sided slope factorization.
 
-    Returns ``[(part multiset, projector, residual)]`` ordered from the
-    largest log-radius group down, with the capped part (if any) first.  The
-    projectors are matrices in the module's original basis, approximated to
-    Laurent entries against the fiber; the residual is the exact Gauss
-    valuation of ``proj^2 - proj`` there and is certified ``>= precision``
-    (escalating the working precision if a first pass falls short).  If the
-    last escalation still falls short, raises :class:`NonConvergence` with the
-    uncertified parts as ``factors`` and the least residual as ``residual``.
+    The parts are the entries of :func:`visible_radii` (extrinsic): the
+    capped entry (if any) first, then the visible entries by increasing
+    value.  Consecutive parts are split by slope factorization at the
+    midpoint of their hull-slope bounds, ``-tau`` for the capped part and
+    ``value - omega`` otherwise.  Returns ``[(part multiset, projector,
+    residual)]`` in that order.  The projectors are matrices in the
+    module's original basis, approximated to Laurent entries against the
+    fiber; the residual is the exact Gauss valuation of ``proj^2 - proj``
+    there and is certified ``>= precision`` (escalating the working
+    precision if a first pass falls short).  If the last escalation still
+    falls short, raises :class:`NonConvergence` with the uncertified parts
+    as ``factors`` and the least residual as ``residual``.
     """
     precision = Fraction(precision)
     for extra in (0, 8, 24):
@@ -549,26 +553,13 @@ def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extr
     vec, P = cyclic_vector(M, axis)
     np_ = newton_polygon(P, r)
     tau = cfg.operator_valuation(axis, r)
-    omega = cfg.omega
-
-    slopes = np_.slope_list()
-    visible = sorted({s for s in slopes if s > -tau})
-    hidden_rank = d - sum(1 for s in slopes if s > -tau)
-    n_parts = len(visible) + (1 if hidden_rank else 0)
-    if n_parts < 2:
+    ms = _radii_from_polygon(np_, tau, cfg.omega, d, intrinsic=False)
+    parts = ms.capped() + ms.visible()[::-1]  # from the lowest slope up
+    if len(parts) < 2:
         raise ValueError("no visible gap to decompose at this fiber")
-
-    # split points between consecutive parts, each strictly above the threshold
-    part_bounds = []
-    if hidden_rank:
-        part_bounds.append(None)  # capped part, below every visible slope
-    part_bounds.extend(visible)
-    splits = []
-    for a, b in zip(part_bounds, part_bounds[1:]):
-        if a is None:
-            splits.append((-tau + b) / 2)
-        else:
-            splits.append((a + b) / 2)
+    # split slopes between consecutive parts; the capped part's bound is -tau
+    bounds = [-tau if capped else v - cfg.omega for v, _, capped in parts]
+    splits = [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
 
     work_prec = precision + d + 4 + extra
     span = max(Fraction(0), -2 * P.min_valuation(r))
@@ -609,21 +600,13 @@ def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extr
         prev = Pi
     projs.append(prev)
 
-    # radii multiset per part
-    parts_ms = []
-    if hidden_rank:
-        parts_ms.append(RadiiMultiset.make([(omega - tau, hidden_rank, True)], "extrinsic"))
-    for s in visible:
-        mult = sum(1 for x in slopes if x == s)
-        parts_ms.append(RadiiMultiset.make([(omega + s, mult, False)], "extrinsic"))
-
     out = []
-    for ms, Pi in zip(parts_ms, projs):
+    for part, Pi in zip(parts, projs):
         sq = mat_mul(Pi, Pi)
         resid = INF
         for i in range(d):
             for j in range(d):
                 dd = sq[i][j] - Pi[i][j]
                 resid = vmin(resid, dd.gauss_valuation(r))
-        out.append((ms, Pi, resid))
+        out.append((RadiiMultiset.make([part], "extrinsic"), Pi, resid))
     return out

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from typing import Callable, List, Optional, Sequence
 
 from .modules import DiffModule, _monomial_pullback
 from .profiles import RadiusProfile, build_radius_profile, decomposition_loci
-from .pwaffine import PiecewiseAffine, max_of_lines
+from .pwaffine import PiecewiseAffine, _lower_hull, max_of_lines
 from .report import Report, check_convex, check_integral, clause, named
 from .valued import solve
 
@@ -144,7 +143,14 @@ class TRPSet:
     # -- 2-D geometry -------------------------------------------------------
 
     def vertices(self) -> list:
-        """Vertices of a (bounded) set in dimension <= 2, in convex order."""
+        """Corners of a bounded set in dimension <= 2.
+
+        In dimension 2 they are the feasible crossings of pairs of constraint
+        lines, listed counter-clockwise from the least ``(x, y)`` with
+        collinear points dropped (the lower hull, then the upper hull as the
+        negated lower hull of the negated points): a polygon with interior
+        has at least 3 corners, a segment its 2 endpoints, a point itself.
+        """
         if self.dim == 1:
             rng = self.segment_range((Fraction(0),), (1,))
             if rng is None:
@@ -168,28 +174,9 @@ class TRPSet:
                 y = (-a1 * c2 + a2 * c1) / det
                 if self.contains((x, y)):
                     pts.add((x, y))
-        pts = list(pts)
-        if len(pts) <= 2:
-            return pts
-        cx = sum(p[0] for p in pts) / len(pts)
-        cy = sum(p[1] for p in pts) / len(pts)
-
-        def half(p):
-            dx, dy = p[0] - cx, p[1] - cy
-            return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-        def cmp(p, q):
-            hp, hq = half(p), half(q)
-            if hp != hq:
-                return -1 if hp < hq else 1
-            cross = (p[0] - cx) * (q[1] - cy) - (q[0] - cx) * (p[1] - cy)
-            if cross > 0:
-                return -1
-            if cross < 0:
-                return 1
-            return 0
-
-        return sorted(pts, key=cmp_to_key(cmp))
+        lower = _lower_hull(pts)
+        upper = [(-x, -y) for x, y in _lower_hull((-x, -y) for x, y in pts)]
+        return lower[:-1] + upper[:-1] or lower
 
     def is_compact(self) -> bool:
         if self.dim > 2:
@@ -256,29 +243,14 @@ class PolyFunc:
         return max_of_lines([(s, v) for s, v in lines], lo, hi)
 
     def canonical_on(self, C: TRPSet) -> "PolyFunc":
-        """Drop functionals whose strict-domination cell has empty interior."""
-        keep = [f for k, f in enumerate(self.functionals)
-                if _solid(_cell(self, k, C).vertices(), C.dim)]
-        if not keep:
-            keep = list(self.functionals)
-        return PolyFunc(tuple(sorted(keep, key=lambda f: (f.slope, f.const))))
+        """Drop duplicates and functionals whose domination cell has empty interior.
 
-
-def _solid(verts, dim: int) -> bool:
-    """True when the convex hull of ``verts`` (from :meth:`TRPSet.vertices`) has interior."""
-    if dim == 1:
-        return len(verts) == 2
-    return len(verts) >= 3 and _polygon_area2(verts) > 0
-
-
-def _polygon_area2(verts) -> Fraction:
-    s = Fraction(0)
-    n = len(verts)
-    for i in range(n):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % n]
-        s += x0 * y1 - x1 * y0
-    return abs(s)
+        A cell has interior when it has more corners than the dimension.
+        """
+        keep = {f for k, f in enumerate(self.functionals)
+                if len(_cell(self, k, C).vertices()) > C.dim}
+        return PolyFunc(tuple(sorted(keep or set(self.functionals),
+                                     key=lambda f: (f.slope, f.const))))
 
 
 def _cell(F: PolyFunc, k: int, C: TRPSet) -> TRPSet:
@@ -321,9 +293,7 @@ class OracleInconsistency(ValueError):
 
 def _primitive(direction) -> tuple:
     d = [int(x) for x in direction]
-    g = 0
-    for x in d:
-        g = gcd(g, abs(x))
+    g = gcd(*d)
     if g == 0:
         raise ValueError("zero direction")
     return tuple(x // g for x in d)
@@ -331,17 +301,16 @@ def _primitive(direction) -> tuple:
 
 def _integer_direction(u, w) -> tuple:
     diff = [Fraction(b) - Fraction(a) for a, b in zip(u, w)]
-    den = 1
-    for x in diff:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in diff))
     return _primitive([int(x * den) for x in diff])
 
 
-def _probe_gradient(oracle, C: TRPSet, y, n: int):
+def _probe_gradient(oracle, C: TRPSet, y, n: int, known=()):
     """Gradient of the sliced function at a point inside one of its cells.
 
-    Returns ``(gradient, value)`` or None when every nearby attempt hits a
-    kink or the boundary.
+    Nudges ``y`` until the point is off every kink and the boundary, skipping
+    nudges whose gradient is in ``known``.  Returns the supporting functional
+    there, or None when every nearby attempt fails.
     """
     nudges = [tuple(Fraction(0) for _ in range(n))]
     steps = [Fraction(1, k) for k in (64, 256, 1024)]
@@ -351,11 +320,7 @@ def _probe_gradient(oracle, C: TRPSet, y, n: int):
     else:
         for s in steps:
             nudges += [(s,), (-s,)]
-    axes = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        axes.append(tuple(e))
+    axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     for nd in nudges:
         yy = tuple(Fraction(a) + b for a, b in zip(y, nd))
         if not C.strictly_contains(yy):
@@ -374,8 +339,10 @@ def _probe_gradient(oracle, C: TRPSet, y, n: int):
                 raise OracleInconsistency("oracle value disagrees between directions")
             if any(x.denominator != 1 for x in grads):
                 raise OracleInconsistency(f"non-integer slope {grads} at {yy}")
-            b = vals[0] - sum(a * c for a, c in zip(grads, yy))
-            return AffineFunctional(tuple(int(x) for x in grads), b), vals[0]
+            lam = AffineFunctional(tuple(int(x) for x in grads),
+                                   vals[0] - sum(a * c for a, c in zip(grads, yy)))
+            if lam not in known:
+                return lam
     return None
 
 
@@ -414,11 +381,13 @@ def reconstruct_polyhedral(C: TRPSet, slice_oracle: Callable) -> PolyFunc:
     """Rebuild a convex transintegral max-of-affines function from 1-D slices.
 
     Supporting functionals are collected by gradient probes at cell-interior
-    points; the candidate is certified by exact whole-segment comparison along
-    every edge of a triangulation of its own cell complex, which pins the
-    function on each triangle by convexity.  Inconsistent oracles (non-convex
-    slices, non-integer slopes, value disagreements) are reported with the
-    offending segment.  Ambient dimension must be 1 or 2 and ``C`` compact and
+    points: near the centroid, toward each corner, and at each discrepancy
+    point, where the probe skips functionals already known.  The candidate is
+    certified by exact whole-segment comparison along every edge of a
+    triangulation of its own cell complex, which pins the function on each
+    triangle by convexity.  Inconsistent oracles (non-convex slices,
+    non-integer slopes, value disagreements) are reported with the offending
+    segment.  Ambient dimension must be 1 or 2 and ``C`` compact and
     full-dimensional.
     """
     n = C.dim
@@ -427,22 +396,20 @@ def reconstruct_polyhedral(C: TRPSet, slice_oracle: Callable) -> PolyFunc:
     if not C.is_compact():
         raise ValueError("domain must be compact")
     verts = C.vertices()
-    if not _solid(verts, n):
+    if len(verts) <= n:
         raise ValueError("domain must be full-dimensional")
-    centroid = tuple(
-        sum((Fraction(v[i]) for v in verts), Fraction(0)) / len(verts) for i in range(n)
-    )
+    centroid = tuple(sum(v[i] for v in verts) / len(verts) for i in range(n))
 
     funcs: List[AffineFunctional] = []
     seed = _probe_gradient(slice_oracle, C, centroid, n)
     if seed is None:
         raise OracleInconsistency("no gradient found near the centroid")
-    funcs.append(seed[0])
+    funcs.append(seed)
     for v in verts:
         y = tuple((Fraction(a) + 3 * Fraction(b)) / 4 for a, b in zip(centroid, v))
         got = _probe_gradient(slice_oracle, C, y, n)
-        if got is not None and got[0] not in funcs:
-            funcs.append(got[0])
+        if got is not None and got not in funcs:
+            funcs.append(got)
 
     for _ in range(MAX_ROUNDS):
         F = PolyFunc(tuple(funcs))
@@ -455,23 +422,21 @@ def reconstruct_polyhedral(C: TRPSet, slice_oracle: Callable) -> PolyFunc:
                 break
         if new_point is None:
             return F.canonical_on(C)
-        got = _probe_gradient(slice_oracle, C, new_point, n)
+        got = _probe_gradient(slice_oracle, C, new_point, n, funcs)
         if got is None:
             raise OracleInconsistency(
-                f"cannot isolate a gradient near discrepancy point {new_point}"
+                f"cannot isolate a new gradient near discrepancy point {new_point}"
             )
-        lam, val = got
-        if lam in funcs:
-            # supporting functional already known: the oracle is inconsistent
-            raise OracleInconsistency(
-                f"discrepancy at {new_point} but no new supporting functional"
-            )
-        funcs.append(lam)
+        funcs.append(got)
     raise OracleInconsistency(f"no convergence after {MAX_ROUNDS} refinement rounds")
 
 
 def _complex_edges(F: PolyFunc, C: TRPSet) -> list:
-    """Edges of a triangulation of the cell complex of ``F`` inside ``C``."""
+    """Edges of a triangulation of the cell complex of ``F`` inside ``C``.
+
+    Each cell contributes the cycle of its corners and the fan from its first
+    corner: one edge for a segment, none for a point.
+    """
     edges = set()
 
     def add(u, w):
@@ -479,17 +444,7 @@ def _complex_edges(F: PolyFunc, C: TRPSet) -> list:
             edges.add((u, w) if u <= w else (w, u))
 
     for j in range(len(F.functionals)):
-        cell = _cell(F, j, C)
-        vs = cell.vertices()
-        if len(vs) < 2:
-            continue
-        if len(vs) == 2:
-            add(vs[0], vs[1])
-            continue
-        if _polygon_area2(vs) == 0:
-            for i in range(len(vs) - 1):
-                add(vs[i], vs[i + 1])
-            continue
+        vs = _cell(F, j, C).vertices()
         for i in range(len(vs)):
             add(vs[i], vs[(i + 1) % len(vs)])
         for i in range(2, len(vs)):
@@ -566,10 +521,7 @@ def unimodular_completion(direction: Sequence) -> UnimodularMatrix:
     """
     a = [int(x) for x in direction]
     n = len(a)
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-    if g != 1:
+    if gcd(*a) != 1:
         raise ValueError(f"direction {tuple(a)} is not primitive")
     v = list(a)
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

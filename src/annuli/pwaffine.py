@@ -219,6 +219,24 @@ def pa_combine(op: str, f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffi
     return PiecewiseAffine(xs, ys)
 
 
+def _lower_hull(points: Iterable) -> list:
+    """Lower convex hull of points ``(x, y)``, from the least point to the greatest.
+
+    Andrew's monotone chain over the sorted points: a point on or above the
+    chord of its neighbours is dropped, so the hull keeps no collinear point.
+    """
+    hull: list = []
+    for p in sorted(points):
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (y1 - y0) * (p[0] - x0) >= (p[1] - y0) * (x1 - x0):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
 def min_of_lines(lines: Iterable, lo, hi) -> PiecewiseAffine:
     """Lower envelope of finitely many lines ``(slope, intercept)`` on ``[lo, hi]``.
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from math import comb
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
-from .pwaffine import PiecewiseAffine, pa_combine
+from .pwaffine import PiecewiseAffine, _lower_hull, pa_combine
 from .report import (NOT_APPLICABLE, PASS, Report, check_convex, check_integral, check_membership,
                      check_nonincreasing, clause, named)
 from .valued import (
@@ -287,21 +287,6 @@ class NewtonPolygon:
         for s, m in self.classical_slopes():
             out.extend([s] * m)
         return out
-
-
-def _lower_hull(points: List[Tuple[int, Fraction]]) -> List[Tuple[int, Fraction]]:
-    pts = sorted(points)
-    hull: list = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            # drop the middle point when it is on or above the chord
-            if (y1 - y0) * (p[0] - x0) >= (p[1] - y0) * (x1 - x0):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
 
 
 def newton_polygon(P: TwistedPoly, r: Sequence) -> NewtonPolygon:

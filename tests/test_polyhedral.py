@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annuli import (
     AffineFunctional,
@@ -24,7 +26,7 @@ from annuli import (
     unimodular_completion,
     visible_radii,
 )
-from annuli.polyhedral import OracleInconsistency, fiber_to_source, fiber_to_target
+from annuli.polyhedral import OracleInconsistency, _complex_edges, fiber_to_source, fiber_to_target
 
 F = Fraction
 
@@ -159,6 +161,97 @@ def test_reconstruct_rejects_noninteger_slope():
 
     with pytest.raises(OracleInconsistency):
         reconstruct_polyhedral(SQUARE, oracle)
+
+
+def box(x0, x1, y0, y1):
+    return [((1, 0), -x0), ((-1, 0), x1), ((0, 1), -y0), ((0, -1), y1)]
+
+
+def sample_points(C, rng, count):
+    """Random convex combinations of the corners of ``C``."""
+    vs = C.vertices()
+    for _ in range(count):
+        w = [F(rng.randint(0, 16)) for _ in vs]
+        tot = sum(w) or F(1)
+        yield tuple(sum(wi * v[i] for wi, v in zip(w, vs)) / tot for i in range(C.dim))
+
+
+@pytest.mark.parametrize(
+    "constraints, functionals",
+    [
+        (box(0, 3, -2, 2), [((-2, -3), F(-8, 3)), ((1, 1), F(-5, 4)), ((3, 3), F(-4)),
+                            ((-3, -2), F(3, 2))]),
+        (box(-1, 3, 0, 2) + [((2, 1), F(-1))], [((0, 0), F(-1, 2)), ((1, 1), F(-1, 4)),
+                                                 ((0, -3), F(1, 2)), ((-3, 3), F(5, 2))]),
+    ],
+    ids=["box", "box_cut"],
+)
+def test_reconstruct_when_first_nudge_lands_in_a_known_cell(constraints, functionals):
+    # the first smooth nudge at a discrepancy point has a known gradient
+    C = TRPSet.make(constraints, 2)
+    g = PolyFunc.make(functionals)
+    got = reconstruct_polyhedral(C, synthetic_oracle(g, C))
+    for x in sample_points(C, random.Random(7), 100):
+        assert got(x) == g(x)
+
+
+def test_canonical_on_drops_duplicates():
+    x, minus_x = ((1, 0), 0), ((-1, 0), 0)
+    assert (PolyFunc.make([x, x, minus_x]).canonical_on(SQUARE)
+            == PolyFunc.make([x, minus_x]).canonical_on(SQUARE))
+
+
+def test_segment_cell_is_dropped_and_kept_as_an_edge():
+    # the cell of the constant 0 in max(x, -x, 0) is the segment x = 0
+    F3 = PolyFunc.make([((1, 0), 0), ((-1, 0), 0), ((0, 0), 0)])
+    assert F3.canonical_on(SQUARE) == PolyFunc.make([((-1, 0), 0), ((1, 0), 0)])
+    assert ((0, -1), (0, 1)) in _complex_edges(F3, SQUARE)
+
+
+def test_vertices_run_counter_clockwise_from_the_least_corner():
+    assert SQUARE.vertices() == [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+    assert SIMPLEX.vertices() == [(0, 0), (1, 0), (0, 1)]
+    assert TRPSet.make(box(0, 2, 0, 0), 2).vertices() == [(0, 0), (2, 0)]
+    assert TRPSet.make(box(1, 1, 0, 0), 2).vertices() == [(1, 0)]
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+half_planes = st.tuples(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda s: s != (0, 0)),
+    st.fractions(-6, 6, max_denominator=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-3, 0), st.integers(-3, 0), st.integers(1, 4), st.integers(1, 4),
+       st.lists(half_planes, max_size=3))
+def test_vertices_are_the_convex_hull_of_the_crossings(x0, y0, w, h, cuts):
+    C = TRPSet.make(box(x0, x0 + w, y0, y0 + h) + cuts, 2)
+    vs = C.vertices()
+    assert len(set(vs)) == len(vs) and all(C.contains(v) for v in vs)
+    n = len(vs)
+    if n >= 3:
+        assert all(_cross(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) > 0 for i in range(n))
+    cs = C.constraints
+    for i in range(len(cs)):
+        for j in range(i + 1, len(cs)):
+            (a1, b1), c1 = cs[i].slope, cs[i].const
+            (a2, b2), c2 = cs[j].slope, cs[j].const
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            x = ((-c1 * b2 + c2 * b1) / det, (-a1 * c2 + a2 * c1) / det)
+            if not C.contains(x):
+                continue
+            if n >= 3:
+                assert all(_cross(vs[k], vs[(k + 1) % n], x) >= 0 for k in range(n))
+            else:  # on the segment or at the point
+                assert _cross(vs[0], vs[-1], x) == 0 and min(vs) <= x <= max(vs)
+    area2 = sum(_cross((0, 0), vs[k], vs[(k + 1) % n]) for k in range(n))
+    assert (n >= 3) == (area2 > 0)
 
 
 # -- unimodular machinery -------------------------------------------------------

@@ -13,10 +13,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import factorial
 
 from . import serialize as ser
+from .serialize import _expect, _fracs, _int, _ints
 from .frobenius import check_push_pull_laws, frob_antecedent, frob_pull, frob_push
-from .polyhedral import multidim_loci, multidim_profile, reconstruct_polyhedral, synthetic_oracle
+from .polyhedral import (module_slice_oracle, multidim_loci, multidim_profile,
+                         reconstruct_polyhedral, synthetic_oracle)
 from .profiles import build_radius_profile, decomposition_loci, verify_variation
 from .twisted import newton_polygon, robba_factor, twisted_mul
 from .valued import INF
@@ -166,7 +169,7 @@ def cmd_verify(args) -> int:
 
 def cmd_frobenius(args) -> int:
     obj = _load_json(args.input)
-    p = int(obj["p"])
+    p = _int(obj.get("p"), "p")
     ms = ser.multiset_from_obj(obj)
     if args.op == "push":
         out = frob_push(ms, p)
@@ -208,18 +211,14 @@ def cmd_factor(args) -> int:
 
 def cmd_polyhedral(args) -> int:
     obj = _load_json(args.input)
-    C = ser.trp_from_obj(obj["domain"])
+    C = ser.trp_from_obj(obj.get("domain"))
     if "functionals" in obj:
         g = ser.polyfunc_from_obj(obj)
         oracle = synthetic_oracle(g, C)
     elif "module" in obj:
-        import math
-
-        from .polyhedral import module_slice_oracle
-
-        M = ser.module_from_obj(obj["module"])
-        level = int(obj.get("level", 1))
-        scale = int(obj.get("scale", math.factorial(M.rank) if level < M.rank else 1))
+        M = ser.module_from_obj(_expect(obj.get("module"), dict, "module", "an object"))
+        level = _int(obj.get("level", 1), "level")
+        scale = _int(obj.get("scale", factorial(M.rank) if level < M.rank else 1), "scale")
         oracle = module_slice_oracle(M, C, level, scale)
     else:
         raise ValueError("polyhedral input needs a functionals list or a module")
@@ -231,12 +230,14 @@ def cmd_polyhedral(args) -> int:
 def cmd_loci(args) -> int:
     obj = _load_json(args.input)
     if "directions" in obj:
-        M = ser.module_from_obj(obj["module"])
-        C = ser.trp_from_obj(obj["domain"])
-        dirs = [
-            ([Fraction(x) for x in d["point"]], [int(x) for x in d["direction"]])
-            for d in obj["directions"]
-        ]
+        M = ser.module_from_obj(_expect(obj.get("module"), dict, "module", "an object"))
+        C = ser.trp_from_obj(obj.get("domain"))
+        dirs = []
+        for k, d in enumerate(_expect(obj.get("directions"), list, "directions", "a list")):
+            at = f"directions[{k}]"
+            _expect(d, dict, at, "an object with point and direction")
+            dirs.append((_fracs(d.get("point"), f"{at}.point"),
+                         _ints(d.get("direction"), f"{at}.direction")))
         rep = multidim_profile(M, C, dirs, axis=obj.get("axis", "intrinsic"))
         loci = multidim_loci(rep)
         payload = {

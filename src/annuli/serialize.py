@@ -70,11 +70,18 @@ def _expect(x, kind, path: str, what: str):
     return x
 
 
-def _int(obj: dict, key: str) -> int:
-    """The integer field ``obj[key]``; a ``bool`` or any other type is refused."""
-    if type(obj[key]) is not int:
-        raise ValueError(f"{key}: expected an integer, got {obj[key]!r}")
-    return obj[key]
+def _int(x, path: str) -> int:
+    """``x`` as an integer; a ``bool`` or any other type is refused."""
+    if type(x) is not int:
+        raise ValueError(f"{path}: expected an integer, got {x!r}")
+    return x
+
+
+def _ints(x, path: str, n: int = None) -> list:
+    """``x`` as a list of integers, of length ``n`` when given."""
+    if not (isinstance(x, list) and n in (None, len(x)) and all(type(a) is int for a in x)):
+        raise ValueError(f"{path}: expected a list of {f'{n} ' if n else ''}integers, got {x!r}")
+    return x
 
 
 def _frac(x, path: str) -> Fraction:
@@ -84,11 +91,11 @@ def _frac(x, path: str) -> Fraction:
         raise ValueError(f"{path}: {e}") from None
 
 
-def _exponents(term: dict, name: str, n: int, path: str) -> tuple:
-    e = term.get(name, [0] * n)
-    if not (isinstance(e, list) and len(e) == n and all(type(a) is int for a in e)):
-        raise ValueError(f"{path}.{name}: expected a list of {n} integers, got {e!r}")
-    return tuple(e)
+def _fracs(x, path: str, n: int = None) -> list:
+    """``x`` as a list of rationals, of length ``n`` when given."""
+    if not (isinstance(x, list) and n in (None, len(x))):
+        raise ValueError(f"{path}: expected a list of {f'{n} ' if n else ''}rationals, got {x!r}")
+    return [_frac(v, f"{path}[{k}]") for k, v in enumerate(x)]
 
 
 def _laurent(config: ValuationConfig, obj, path: str) -> LaurentElement:
@@ -99,7 +106,8 @@ def _laurent(config: ValuationConfig, obj, path: str) -> LaurentElement:
         if not (isinstance(t, dict) and "c" in t and set(t) <= {"c", "u", "t"}):
             raise ValueError(f"{at}: expected an object with key c and optional u, t, got {t!r}")
         c = _frac(t["c"], f"{at}.c")
-        key = (_exponents(t, "u", config.m_base, at), _exponents(t, "t", config.n_geom, at))
+        key = tuple(tuple(_ints(t.get(name, [0] * n), f"{at}.{name}", n))
+                    for name, n in (("u", config.m_base), ("t", config.n_geom)))
         terms[key] = terms.get(key, Fraction(0)) + c
     return LaurentElement(config, terms)
 
@@ -113,11 +121,10 @@ def config_from_obj(obj: dict) -> ValuationConfig:
     """Read ``p``, ``u_weights`` and ``n_geom``; ``ValueError`` names a malformed field."""
     if "p" not in obj:
         raise ValueError("input has no 'p' key")
-    p = _int(obj, "p")
-    weights = _expect(obj.get("u_weights", []), list, "u_weights", "a list of rationals")
-    u_weights = [_frac(w, f"u_weights[{k}]") for k, w in enumerate(weights)]
+    p = _int(obj["p"], "p")
+    u_weights = _fracs(obj.get("u_weights", []), "u_weights")
     if "n_geom" in obj:
-        n_geom = _int(obj, "n_geom")
+        n_geom = _int(obj["n_geom"], "n_geom")
     else:
         tkeys = [k for k in obj.get("matrices", {}) if k.startswith("t")]
         n_geom = max((int(k[1:]) for k in tkeys), default=1)
@@ -138,7 +145,7 @@ def module_from_obj(obj: dict) -> DiffModule:
              for j, x in enumerate(_expect(row, list, f"matrices.{a}[{i}]", "a list"))]
             for i, row in enumerate(_expect(mat, list, f"matrices.{a}", "a list of rows"))
         ]
-    return DiffModule(cfg, _int(obj, "rank"), out)
+    return DiffModule(cfg, _int(obj["rank"], "rank"), out)
 
 
 def poly_to_obj(P: TwistedPoly) -> dict:
@@ -173,9 +180,14 @@ def multiset_to_obj(ms: RadiiMultiset) -> dict:
 
 
 def multiset_from_obj(obj: dict) -> RadiiMultiset:
-    kind = obj.get("kind", "intrinsic")
-    entries = [(parse_frac(v), int(m), False) for v, m in obj.get("entries", [])]
-    entries += [(parse_frac(v), int(m), True) for v, m in obj.get("capped", [])]
+    """Read ``{"kind", "entries", "capped"}``; ``ValueError`` names a malformed part."""
+    kind = _expect(obj.get("kind", "intrinsic"), str, "kind", "a string")
+    entries = []
+    for key, capped in (("entries", False), ("capped", True)):
+        for k, e in enumerate(_expect(obj.get(key, []), list, key, "a list")):
+            if not (isinstance(e, list) and len(e) == 2):
+                raise ValueError(f"{key}[{k}]: expected a [value, multiplicity] pair, got {e!r}")
+            entries.append((_frac(e[0], f"{key}[{k}][0]"), _int(e[1], f"{key}[{k}][1]"), capped))
     return RadiiMultiset.make(entries, kind)
 
 
@@ -203,36 +215,47 @@ def profile_to_obj(profile: RadiusProfile) -> dict:
 
 
 def profile_from_obj(obj: dict) -> RadiusProfile:
-    cells = tuple(
-        ProfileCell(
-            parse_frac(c["lo"]),
-            parse_frac(c["hi"]),
-            tuple((parse_frac(s), parse_frac(v)) for s, v in c["visible"]),
-            int(c.get("capped", 0)),
-            (parse_frac(c["cap"][0]), parse_frac(c["cap"][1]))
-            if "cap" in c
-            else (Fraction(0), Fraction(0)),
-        )
-        for c in obj["cells"]
-    )
+    """Read a profile object; ``ValueError`` names a malformed part by its path."""
+    cells = []
+    for k, c in enumerate(_expect(obj.get("cells"), list, "cells", "a list")):
+        at = f"cells[{k}]"
+        _expect(c, dict, at, "an object")
+        visible = _expect(c.get("visible"), list, f"{at}.visible", "a list")
+        cells.append(ProfileCell(
+            _frac(c.get("lo"), f"{at}.lo"),
+            _frac(c.get("hi"), f"{at}.hi"),
+            tuple(tuple(_fracs(sv, f"{at}.visible[{i}]", 2)) for i, sv in enumerate(visible)),
+            _int(c.get("capped", 0), f"{at}.capped"),
+            tuple(_fracs(c.get("cap", [0, 0]), f"{at}.cap", 2)),
+        ))
     weight = obj.get("axis_weight")
     return RadiusProfile(
-        obj["axis"],
-        obj["kind"],
-        int(obj["p"]),
-        int(obj["rank"]),
-        (parse_frac(obj["window"][0]), parse_frac(obj["window"][1])),
-        cells,
-        None if weight is None else parse_frac(weight),
+        _expect(obj.get("axis"), str, "axis", "an axis name"),
+        _expect(obj.get("kind"), str, "kind", "a string"),
+        _int(obj.get("p"), "p"),
+        _int(obj.get("rank"), "rank"),
+        tuple(_fracs(obj.get("window"), "window", 2)),
+        tuple(cells),
+        None if weight is None else _frac(weight, "axis_weight"),
     )
+
+
+def _functionals(fs, path: str, dim: int = None) -> list:
+    """Read ``[{"slope", "const"}]`` as affine functionals, slopes of length ``dim``."""
+    out = []
+    for k, f in enumerate(_expect(fs, list, path, "a list")):
+        at = f"{path}[{k}]"
+        _expect(f, dict, at, "an object with slope and const")
+        out.append(AffineFunctional(tuple(_ints(f.get("slope"), f"{at}.slope", dim)),
+                                    _frac(f.get("const"), f"{at}.const")))
+    return out
 
 
 def trp_from_obj(obj: dict) -> TRPSet:
-    cs = [
-        AffineFunctional(tuple(c["slope"]), parse_frac(c["const"]))
-        for c in obj["constraints"]
-    ]
-    return TRPSet.make(cs, int(obj["dim"]))
+    """Read the domain ``{"dim", "constraints"}``; ``ValueError`` names a malformed part."""
+    _expect(obj, dict, "domain", "an object")
+    dim = _int(obj.get("dim"), "domain.dim")
+    return TRPSet.make(_functionals(obj.get("constraints"), "domain.constraints", dim), dim)
 
 
 def polyfunc_to_obj(F: PolyFunc) -> dict:
@@ -244,9 +267,5 @@ def polyfunc_to_obj(F: PolyFunc) -> dict:
 
 
 def polyfunc_from_obj(obj: dict) -> PolyFunc:
-    return PolyFunc.make(
-        [
-            AffineFunctional(tuple(f["slope"]), parse_frac(f["const"]))
-            for f in obj["functionals"]
-        ]
-    )
+    """Read ``{"functionals"}``; ``ValueError`` names a malformed part."""
+    return PolyFunc.make(_functionals(obj.get("functionals"), "functionals"))

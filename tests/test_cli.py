@@ -402,6 +402,36 @@ def test_bad_input_exits_1_naming_it(tmp_path, capsys, obj, window, named):
     assert "Traceback" not in err
 
 
+SQUARE_OBJ = {"dim": 2, "constraints": [{"slope": s, "const": "1"}
+                                       for s in ([1, 0], [-1, 0], [0, 1], [0, -1])]}
+PROFILE_OBJ = {"axis": "t1", "kind": "extrinsic", "p": 2, "rank": 1, "window": ["0", "1"],
+               "axis_weight": None,
+               "cells": [{"lo": "0", "hi": "1", "visible": [["0"]], "capped": 0, "cap": ["0", "1"]}]}
+
+
+@pytest.mark.parametrize(
+    "argv, obj, named",
+    [
+        (["frobenius"], {"p": [2], "entries": [["1/2", 1]]}, "p: expected an integer"),
+        (["frobenius"], {"p": 2, "entries": [["1/2", 1.5]]}, "entries[0][1]: expected an integer"),
+        (["polyhedral"], {"functionals": []}, "domain: expected an object"),
+        (["polyhedral"], {"domain": SQUARE_OBJ, "module": rank1_module_obj(), "level": "x"},
+         "level: expected an integer"),
+        (["verify"], PROFILE_OBJ, "cells[0].visible[0]: expected a list of 2 rationals"),
+        (["loci"], {"module": rank1_module_obj(), "domain": SQUARE_OBJ,
+                    "directions": [{"point": ["0", "0"]}]},
+         "directions[0].direction: expected a list of integers"),
+    ],
+    ids=["frobenius_p_list", "fractional_multiplicity", "polyhedral_no_domain",
+         "polyhedral_level_string", "profile_visible_single", "loci_no_direction"],
+)
+def test_bad_reader_input_exits_1_naming_it(tmp_path, capsys, argv, obj, named):
+    path = write(tmp_path, "in.json", obj)
+    code, out, err = run(capsys, [*argv, "--input", path])
+    assert code == 1 and out == "" and err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
 def test_factor_without_derivation_exits_1(tmp_path, capsys):
     poly = {"p": 2, "u_weights": [], "n_geom": 1, "coeffs": [{"terms": [{"c": "1"}]}]}
     path = write(tmp_path, "p.json", poly)

@@ -106,8 +106,8 @@ def _laurent(config: ValuationConfig, obj, path: str) -> LaurentElement:
         if not (isinstance(t, dict) and "c" in t and set(t) <= {"c", "u", "t"}):
             raise ValueError(f"{at}: expected an object with key c and optional u, t, got {t!r}")
         c = _frac(t["c"], f"{at}.c")
-        key = tuple(tuple(_ints(t.get(name, [0] * n), f"{at}.{name}", n))
-                    for name, n in (("u", config.m_base), ("t", config.n_geom)))
+        key = (tuple(_ints(t.get("u", [0] * config.m_base), f"{at}.u", config.m_base)),
+               tuple(_ints(t.get("t", [0] * config.n_geom), f"{at}.t", config.n_geom)))
         terms[key] = terms.get(key, Fraction(0)) + c
     return LaurentElement(config, terms)
 

@@ -213,7 +213,7 @@ def cmd_polyhedral(args) -> int:
     obj = _load_json(args.input)
     C = ser.trp_from_obj(obj.get("domain"))
     if "functionals" in obj:
-        g = ser.polyfunc_from_obj(obj)
+        g = ser.polyfunc_from_obj(obj, C.dim)
         oracle = synthetic_oracle(g, C)
     elif "module" in obj:
         M = ser.module_from_obj(_expect(obj.get("module"), dict, "module", "an object"))

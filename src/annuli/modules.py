@@ -37,9 +37,7 @@ from .valued import (
     FracElement,
     LaurentElement,
     ValuationConfig,
-    gauss_valuation,
     solve,
-    vmin,
 )
 
 __all__ = [
@@ -251,7 +249,7 @@ def _iterate_Dn(M: DiffModule, axis: str, n_max: int, r: Sequence, from_n: int) 
     out = []
     for n in range(1, n_max + 1):
         if n >= from_n:
-            out.append((n, min((gauss_valuation(x, r) for col in cols for x in col if x),
+            out.append((n, min((x.gauss_valuation(r) for col in cols for x in col if x),
                                default=INF)))
         if n < n_max:
             cols = [apply_connection(M, axis, col) for col in cols]
@@ -386,13 +384,6 @@ class RadiiMultiset:
         e = self.entries[0]
         return e[0], e[2]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RadiiMultiset)
-            and self.kind == other.kind
-            and self.entries == other.entries
-        )
-
     def __repr__(self):
         bits = [f"{v}x{m}" + ("(capped)" if c else "") for v, m, c in self.entries]
         return f"RadiiMultiset[{self.kind}: " + ", ".join(bits) + "]"
@@ -509,16 +500,8 @@ def _coords_mod(P: TwistedPoly, Q: TwistedPoly, power: int) -> list:
 
 
 def _approx_mat(A, r, cut):
-    """Entrywise Laurent approximation at the fiber; exact entries kept when
-    no denominator term dominates."""
-    out = []
-    for row in A:
-        new = []
-        for x in row:
-            a = _laurent_approx(x, r, cut)
-            new.append(x if a is None else a)
-        out.append(new)
-    return out
+    """Entrywise :func:`_laurent_approx` at the fiber."""
+    return [[_laurent_approx(x, r, cut) for x in row] for row in A]
 
 
 def decompose_fiber(M: DiffModule, axis: str, r: Sequence, precision) -> list:
@@ -541,7 +524,7 @@ def decompose_fiber(M: DiffModule, axis: str, r: Sequence, precision) -> list:
     for extra in (0, 8, 24):
         out = _decompose_fiber_once(M, axis, r, precision, extra)
         worst = min(res for _, _, res in out)
-        if worst is INF or worst >= precision:
+        if worst >= precision:
             return out
     raise NonConvergence(f"projector residual {worst} below precision {precision}",
                          factors=out, residual=worst)
@@ -557,8 +540,8 @@ def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extr
     parts = ms.capped() + ms.visible()[::-1]  # from the lowest slope up
     if len(parts) < 2:
         raise ValueError("no visible gap to decompose at this fiber")
-    # split slopes between consecutive parts; the capped part's bound is -tau
-    bounds = [-tau if capped else v - cfg.omega for v, _, capped in parts]
+    # split slopes between consecutive parts; the capped value omega - tau gives -tau
+    bounds = [v - cfg.omega for v, _, _ in parts]
     splits = [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
 
     work_prec = precision + d + 4 + extra
@@ -602,11 +585,7 @@ def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extr
 
     out = []
     for part, Pi in zip(parts, projs):
-        sq = mat_mul(Pi, Pi)
-        resid = INF
-        for i in range(d):
-            for j in range(d):
-                dd = sq[i][j] - Pi[i][j]
-                resid = vmin(resid, dd.gauss_valuation(r))
+        resid = min((a - b).gauss_valuation(r) for ra, rb in zip(mat_mul(Pi, Pi), Pi)
+                    for a, b in zip(ra, rb))
         out.append((RadiiMultiset.make([part], "extrinsic"), Pi, resid))
     return out

@@ -508,9 +508,6 @@ class UnimodularMatrix:
             sum((r * Fraction(v) for r, v in zip(row, vec)), Fraction(0)) for row in self.rows
         )
 
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
-
 
 def unimodular_completion(direction: Sequence) -> UnimodularMatrix:
     """A unimodular matrix whose first row is the given primitive vector.

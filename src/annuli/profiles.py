@@ -117,6 +117,8 @@ def build_radius_profile(
     sits at or under the visibility bound are flagged capped.
     """
     if axis == "intrinsic":
+        if not M.axes():
+            raise ValueError("module carries no derivations")
         parts = [
             _axis_profile(M, a, geom_axis, window, frozen, intrinsic=True)
             for a in M.axes()

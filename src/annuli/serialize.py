@@ -187,7 +187,10 @@ def multiset_from_obj(obj: dict) -> RadiiMultiset:
         for k, e in enumerate(_expect(obj.get(key, []), list, key, "a list")):
             if not (isinstance(e, list) and len(e) == 2):
                 raise ValueError(f"{key}[{k}]: expected a [value, multiplicity] pair, got {e!r}")
-            entries.append((_frac(e[0], f"{key}[{k}][0]"), _int(e[1], f"{key}[{k}][1]"), capped))
+            mult = _int(e[1], f"{key}[{k}][1]")
+            if mult < 0:
+                raise ValueError(f"{key}[{k}][1]: expected a nonnegative integer, got {mult}")
+            entries.append((_frac(e[0], f"{key}[{k}][0]"), mult, capped))
     return RadiiMultiset.make(entries, kind)
 
 
@@ -266,6 +269,6 @@ def polyfunc_to_obj(F: PolyFunc) -> dict:
     }
 
 
-def polyfunc_from_obj(obj: dict) -> PolyFunc:
-    """Read ``{"functionals"}``; ``ValueError`` names a malformed part."""
-    return PolyFunc.make(_functionals(obj.get("functionals"), "functionals"))
+def polyfunc_from_obj(obj: dict, dim: int = None) -> PolyFunc:
+    """Read ``{"functionals"}``, slopes of length ``dim``; ``ValueError`` names a bad part."""
+    return PolyFunc.make(_functionals(obj.get("functionals"), "functionals", dim))

@@ -209,12 +209,7 @@ class TwistedPoly:
 
     def min_valuation(self, r: Sequence):
         """Least Gauss valuation over the coefficients; INF for zero."""
-        v = INF
-        for c in self.coeffs:
-            if not c.is_zero():
-                cv = c.gauss_valuation(r)
-                v = cv if v is INF else min(v, cv)
-        return v
+        return min((c.gauss_valuation(r) for c in self.coeffs if c), default=INF)
 
     def __repr__(self):
         if not self.coeffs:
@@ -253,12 +248,11 @@ class NewtonPolygon:
     """Lower hull of ``(i, v_r(a_i))`` with ascending slopes.
 
     ``slopes`` is the multiset ``[(slope, multiplicity), ...]`` ascending; the
-    multiplicities sum to ``degree - x_offset`` where ``x_offset`` is the least
+    multiplicities sum to ``deg P - x_offset`` where ``x_offset`` is the least
     index with a nonzero coefficient.
     """
 
     vertices: tuple
-    degree: int
 
     @property
     def x_offset(self) -> int:
@@ -298,7 +292,7 @@ def newton_polygon(P: TwistedPoly, r: Sequence) -> NewtonPolygon:
         for i, c in enumerate(P.coeffs)
         if not c.is_zero()
     ]
-    return NewtonPolygon(tuple(_lower_hull(pts)), P.degree)
+    return NewtonPolygon(tuple(_lower_hull(pts)))
 
 
 @dataclass(frozen=True)
@@ -348,8 +342,6 @@ def slope_functions(P: TwistedPoly, axis: str, window, frozen: Sequence = ()) ->
 
 def _truncate(coeff, r, cut):
     """Drop Laurent terms whose valuation at the working fiber exceeds ``cut``."""
-    if not isinstance(coeff, LaurentElement):
-        return coeff
     cfg = coeff.config
     return LaurentElement(
         cfg, {key: c for key, c in coeff.terms.items() if term_valuation(cfg, key, c, r) <= cut}
@@ -357,23 +349,22 @@ def _truncate(coeff, r, cut):
 
 
 def _laurent_approx(x, r: Sequence, cut):
-    """A Laurent polynomial within Gauss valuation ``cut`` of ``x`` at ``r``.
+    """A Laurent polynomial within Gauss valuation ``cut`` of ``x`` at ``r``, or ``x``.
 
-    Expands the denominator against its strictly dominant term at the fiber;
-    returns None when no term dominates (the caller then keeps the exact
-    fraction for that round).
+    A Laurent ``x`` is truncated at ``cut``.  A fraction expands its
+    denominator against the strictly dominant term at the fiber; when no term
+    dominates, ``x`` itself comes back, exact, and the caller keeps that one
+    entry as a fraction for the round.
     """
     if isinstance(x, LaurentElement):
         return _truncate(x, r, cut)
     num, den = x.num, x.den
-    if num.is_zero():
-        return num.config.zero()
-    if len(den.terms) == 1:
+    if len(den.terms) == 1:  # a zero fraction has den 1
         return _truncate(num * den ** -1, r, cut)
     vals = sorted((term_valuation(den.config, k, c, r), k, c) for k, c in den.terms.items())
     v0 = vals[0][0]
     if vals[1][0] == v0:
-        return None
+        return x
     gap = vals[1][0] - v0
     key0, c0 = vals[0][1], vals[0][2]
     m0 = LaurentElement(den.config, {key0: c0})
@@ -408,7 +399,9 @@ def robba_factor(
     Starting from the polygon initializer, each step divides ``P = A B + E``
     on the right, solves the correction ``sum_j dB_j (A T^j mod B) = E``
     exactly over the fraction field, adds ``dB`` to ``B`` and
-    re-polynomializes it against the working fiber; only ``B`` is corrected.
+    re-polynomializes each new coefficient against the working fiber with
+    ``_laurent_approx`` (one without a dominant denominator term stays an
+    exact fraction for that round); only ``B`` is corrected.
     The system treats the unknowns ``dB_j`` as commuting with ``A``.  That is
     the exact linearization for untwisted input, where the residual doubles
     per step (measured 1, 2, 4, ..., 64 on constant products at p = 3).  For
@@ -445,8 +438,7 @@ def robba_factor(
 
     cfg = P.config
     e = d - k
-    vmin = P.min_valuation(r)
-    cut = precision + max(Fraction(0), -2 * vmin) + 8
+    cut = precision + max(Fraction(0), -2 * P.min_valuation(r)) + 8
 
     def fr(x):
         return x if isinstance(x, FracElement) else FracElement(x)
@@ -460,7 +452,7 @@ def robba_factor(
             trace.append(res)
         if best is None or res > best[2]:
             best = (A, B, res)
-        if res is INF or res >= precision:
+        if res >= precision:
             return A, B, res
         cols = []
         for j in range(e):
@@ -473,13 +465,8 @@ def robba_factor(
         except ZeroDivisionError:
             raise NonConvergence("singular correction system") from None
         delta = [row[0] for row in X]
-        newc = [B.coeff(i) + delta[i] for i in range(e)] + [cfg.one()]
-        approx = [_laurent_approx(c, r, cut) if i < e else cfg.one()
-                  for i, c in enumerate(newc)]
-        if any(a is None for a in approx):
-            B = P._clone(newc)  # keep exact fractions this round
-        else:
-            B = P._clone(approx)
+        B = P._clone([_laurent_approx(B.coeff(i) + delta[i], r, cut) for i in range(e)]
+                     + [cfg.one()])
     raise NonConvergence(
         f"no convergence within {budget} iterations (best residual {best[2]})",
         factors=(best[0], best[1]),

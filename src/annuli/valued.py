@@ -47,7 +47,9 @@ __all__ = [
 
 
 class Infinity:
-    """The valuation of zero.  Compares above every rational."""
+    """The valuation of zero.  Compares above every rational in either operand
+    order: a rational's comparison with it returns ``NotImplemented`` and Python
+    asks this class, so ``min(vals, default=INF)`` is the least valuation."""
 
     _instance = None
 
@@ -89,14 +91,6 @@ class Infinity:
 INF = Infinity()
 
 ValuationValue = Union[Fraction, Infinity]
-
-
-def vmin(a: ValuationValue, b: ValuationValue) -> ValuationValue:
-    if a is INF:
-        return b
-    if b is INF:
-        return a
-    return min(a, b)
 
 
 def _is_prime(n: int) -> bool:
@@ -278,18 +272,16 @@ class LaurentElement:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, LaurentElement):
-            return self.config == other.config and self._key == other._key
-        if isinstance(other, FracElement):
-            return other == self
-        if isinstance(other, (int, Fraction)):
-            return self == self.config.scalar(other)
-        return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.config == o.config and self._key == o._key
 
     def __hash__(self):
         return hash(self._key)
 
     def _coerce(self, other):
+        """``other`` as a Laurent element; None for a fraction, whose reflected method answers."""
         if isinstance(other, LaurentElement):
             return other
         if isinstance(other, (int, Fraction)):
@@ -297,8 +289,6 @@ class LaurentElement:
         return None
 
     def __add__(self, other):
-        if isinstance(other, FracElement):
-            return FracElement(self) + other
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -313,8 +303,6 @@ class LaurentElement:
         return LaurentElement._trusted(self.config, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, FracElement):
-            return FracElement(self) - other
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -330,8 +318,6 @@ class LaurentElement:
         Cost: one int multiply-add per pair of terms, one gcd per output term
         when ``L1 * L2 > 1``.  A zero factor returns zero at once.
         """
-        if isinstance(other, FracElement):
-            return FracElement(self) * other
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -400,13 +386,15 @@ class LaurentElement:
         return LaurentElement(self.config, out)
 
     def gauss_valuation(self, r: Sequence) -> ValuationValue:
-        return gauss_valuation(self, r)
+        """Least ``ord_p(c) + e.w + i.r`` over the terms; INF iff zero.
 
-    def term_valuations(self, r: Sequence):
+        ``ValueError`` unless ``r`` has one entry per geometric variable.
+        """
         cfg = self.config
         r = tuple(Fraction(x) for x in r)
-        for key, c in self.terms.items():
-            yield term_valuation(cfg, key, c, r)
+        if len(r) != cfg.n_geom:
+            raise ValueError(f"fiber vector has length {len(r)}, expected {cfg.n_geom}")
+        return min((term_valuation(cfg, key, c, r) for key, c in self.terms.items()), default=INF)
 
     def __repr__(self):
         if not self.terms:
@@ -475,7 +463,7 @@ class FracElement:
         return None
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, FracElement) else other
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return (self.num * o.den)._key == (o.num * self.den)._key
@@ -527,7 +515,7 @@ class FracElement:
     def gauss_valuation(self, r: Sequence) -> ValuationValue:
         if self.is_zero():
             return INF
-        return gauss_valuation(self.num, r) - gauss_valuation(self.den, r)
+        return self.num.gauss_valuation(r) - self.den.gauss_valuation(r)
 
     def __repr__(self):
         if self.den == self.config.one():
@@ -573,20 +561,13 @@ def term_valuation(cfg: ValuationConfig, key, c, r: Sequence) -> Fraction:
 
 
 def gauss_valuation(x, r: Sequence) -> ValuationValue:
-    """Minimum over monomials of ``ord_p(c) + e.w + i.r``; INF iff ``x == 0``.
+    """The Gauss valuation of a Laurent or fraction element at the fiber ``r``.
 
-    For ``p = 0`` the coefficient valuation is the zero map and the u-weights
-    carry the valuation.
+    Minimum over monomials of ``ord_p(c) + e.w + i.r``, and ``v(num) - v(den)``
+    for a fraction; INF iff ``x == 0``.  For ``p = 0`` the coefficient
+    valuation is the zero map and the u-weights carry the valuation.
     """
-    if isinstance(x, FracElement):
-        return x.gauss_valuation(r)
-    if len(tuple(r)) != x.config.n_geom:
-        raise ValueError(
-            f"fiber vector has length {len(tuple(r))}, expected {x.config.n_geom}"
-        )
-    if x.is_zero():
-        return INF
-    return min(x.term_valuations(r))
+    return x.gauss_valuation(r)
 
 
 def solve(A, B):
@@ -662,9 +643,7 @@ def is_unit_on_annulus(x, axis: str, window, frozen: Sequence = ()) -> bool:
     Equivalently, the element has no slope of its Newton polygon (in the axis
     variable) strictly inside the window, so it inverts on the open annulus.
     """
-    if (isinstance(x, LaurentElement) and x.is_zero()) or (
-        isinstance(x, FracElement) and x.is_zero()
-    ):
+    if x.is_zero():
         raise ValueError("zero element is not a unit")
     lo, hi = window
     f = valuation_function(x, axis, window, frozen)

@@ -1,8 +1,15 @@
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from annuli import ValuationConfig
+
+# CI runs with HYPOTHESIS_PROFILE=ci: a fixed example sequence, so a red run
+# reproduces with the same command.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

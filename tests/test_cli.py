@@ -421,15 +421,33 @@ PROFILE_OBJ = {"axis": "t1", "kind": "extrinsic", "p": 2, "rank": 1, "window": [
         (["loci"], {"module": rank1_module_obj(), "domain": SQUARE_OBJ,
                     "directions": [{"point": ["0", "0"]}]},
          "directions[0].direction: expected a list of integers"),
+        (["radii", "--window", "1/2", "2"], dict(rank1_module_obj(), matrices={}),
+         "module carries no derivations"),
+        (["frobenius"], {"p": 2, "entries": [["1/2", -1]]},
+         "entries[0][1]: expected a nonnegative integer"),
+        (["polyhedral"], {"domain": SQUARE_OBJ, "functionals": [
+            {"slope": [1], "const": "0"}, {"slope": [0, 1, 5], "const": "0"}]},
+         "functionals[0].slope: expected a list of 2 integers"),
+        (["polyhedral"], {"domain": SQUARE_OBJ, "functionals": [
+            {"slope": [1, 0, 0], "const": "0"}, {"slope": [0, 1, 0], "const": "0"}]},
+         "functionals[0].slope: expected a list of 2 integers"),
     ],
     ids=["frobenius_p_list", "fractional_multiplicity", "polyhedral_no_domain",
-         "polyhedral_level_string", "profile_visible_single", "loci_no_direction"],
+         "polyhedral_level_string", "profile_visible_single", "loci_no_direction",
+         "intrinsic_no_derivations", "negative_multiplicity", "polyfunc_mixed_dims",
+         "polyfunc_wrong_dim"],
 )
 def test_bad_reader_input_exits_1_naming_it(tmp_path, capsys, argv, obj, named):
     path = write(tmp_path, "in.json", obj)
     code, out, err = run(capsys, [*argv, "--input", path])
     assert code == 1 and out == "" and err.startswith("error:") and named in err
     assert "Traceback" not in err
+
+
+def test_zero_multiplicity_is_dropped(tmp_path, capsys):
+    path = write(tmp_path, "s.json", {"p": 2, "entries": [["1/2", 1]], "capped": [["0", 0]]})
+    code, out, _ = run(capsys, ["frobenius", "--input", path, "--op", "push"])
+    assert code == 0 and out == '{"entries":[["1",1],["2",1]]}\n'
 
 
 def test_factor_without_derivation_exits_1(tmp_path, capsys):

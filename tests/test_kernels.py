@@ -3,10 +3,11 @@
 ``min_of_lines`` is checked against the envelope refined at every pairwise
 crossing (``PiecewiseAffine`` is canonical, so equal functions have equal
 knots and values); ``LaurentElement`` products, sums and derivatives against
-``Fraction`` loops through the validating constructor.  Equal values, equal
-``repr`` and, for ring elements, equal term order are required, and every
-stored coefficient must be an ``int`` or a ``Fraction``: a float would mean
-two ``int`` coefficients were divided with ``/``.
+``Fraction`` loops through the validating constructor; mixed Laurent/fraction
+arithmetic against the fraction operator on the wrapped operand.  Equal
+values, equal ``repr`` and, for ring elements, equal term order are required,
+and every stored coefficient must be an ``int`` or a ``Fraction``: a float
+would mean two ``int`` coefficients were divided with ``/``.
 """
 
 from fractions import Fraction
@@ -120,24 +121,17 @@ CONFIGS = [ValuationConfig(2, (), 1), ValuationConfig(3, (F(1, 2),), 2), Valuati
 coeff_st = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9, 12]))
 
 
+def laurent_st(cfg):
+    term = st.tuples(st.tuples(*[st.integers(-2, 2)] * cfg.m_base),
+                     st.tuples(*[st.integers(-2, 2)] * cfg.n_geom), coeff_st)
+    return st.lists(term, max_size=8).map(
+        lambda ts: LaurentElement(cfg, {(e, i): c for e, i, c in ts}))
+
+
 @st.composite
 def element_pair(draw):
     cfg = draw(st.sampled_from(CONFIGS))
-
-    def element():
-        terms = draw(
-            st.lists(
-                st.tuples(
-                    st.tuples(*[st.integers(-2, 2)] * cfg.m_base),
-                    st.tuples(*[st.integers(-2, 2)] * cfg.n_geom),
-                    coeff_st,
-                ),
-                max_size=8,
-            )
-        )
-        return LaurentElement(cfg, {(e, i): c for e, i, c in terms})
-
-    return element(), element()
+    return draw(laurent_st(cfg)), draw(laurent_st(cfg))
 
 
 def exact(x):
@@ -190,3 +184,35 @@ def test_product_edge_cases():
                     cfg.scalar(2) + cfg.monomial(5, t=(1, 0)))
     same(q.num, LaurentElement(cfg, {((0,), (0, 0)): F(1, 2), ((0,), (0, 1)): F(3, 2)}))
     same(q.den, LaurentElement(cfg, {((0,), (0, 0)): F(1), ((0,), (1, 0)): F(5, 2)}))
+
+
+# -- mixed Laurent/fraction arithmetic ------------------------------------------
+
+
+@st.composite
+def laurent_and_fraction(draw):
+    """A Laurent ``x`` and a fraction ``q = y / z`` (``z != 0``) over one configuration."""
+    cfg = draw(st.sampled_from(CONFIGS))
+    x, y = draw(laurent_st(cfg)), draw(laurent_st(cfg))
+    return x, FracElement(y, draw(laurent_st(cfg).filter(bool)))
+
+
+def frac_terms(q):
+    return sorted(q.num.terms.items()), sorted(q.den.terms.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_and_fraction(), st.integers(-6, 6), coeff_st)
+def test_mixed_arithmetic_matches_wrapped_operand(xq, k, c):
+    """``a op q`` for a Laurent, ``int`` or ``Fraction`` ``a`` stores what
+    ``FracElement(a) op q`` stores, and compares as it does."""
+    x, q = xq
+    cfg = x.config
+    for a in (x, k, c):
+        wrapped = FracElement(a if isinstance(a, LaurentElement) else cfg.scalar(a))
+        for got, want in ((a + q, wrapped + q), (a - q, wrapped - q), (a * q, wrapped * q)):
+            assert isinstance(got, FracElement)
+            assert repr(got) == repr(want)
+            assert frac_terms(got) == frac_terms(want)
+        assert (a == q) == (wrapped == q)
+    assert x == FracElement(x * q.den, q.den)

@@ -6,6 +6,7 @@ import pytest
 
 from annuli import (
     INF,
+    FracElement,
     TwistedPoly,
     ValuationConfig,
     cyclic_vector,
@@ -17,7 +18,7 @@ from annuli import (
     twisted_mul,
     verify_newton_properties,
 )
-from annuli.twisted import NoSeparatingVertex, opposite
+from annuli.twisted import NoSeparatingVertex, _laurent_approx, opposite
 
 F = Fraction
 
@@ -328,3 +329,10 @@ def test_verify_truncation_nonmonic_na(cfg2):
     rep = verify_newton_properties(poly, "t1", (F(0), F(1)), disc=True, truncation=(1, 0))
     tr = rep.by_name("truncation")
     assert [(r.status, r.witness) for r in tr] == [("not applicable", "requires monic input")]
+
+
+def test_laurent_approx_keeps_a_fraction_without_dominant_term(cfg2):
+    # at r = 0 both terms of 1 + t have valuation 0, so none dominates
+    one = cfg2.one()
+    x = FracElement(one, one + cfg2.t(1))
+    assert _laurent_approx(x, [F(0)], F(10)) is x

@@ -48,6 +48,14 @@ def test_zero_valuation_is_inf(cfg2):
     assert gauss_valuation(cfg2.zero(), [F(0)]) is INF
 
 
+def test_inf_orders_above_rationals_in_either_position():
+    assert min(F(3), INF) == F(3) and min(INF, F(3)) == F(3)
+    assert min([INF, F(-2), INF]) == F(-2)
+    assert min([], default=INF) is INF
+    assert INF >= F(10**6)
+    assert not (F(3) >= INF)
+
+
 def test_dimension_mismatch(cfg2):
     with pytest.raises(ValueError):
         gauss_valuation(cfg2.one(), [F(0), F(0)])

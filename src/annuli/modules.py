@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Dict, Sequence, Tuple
 
 from .twisted import (
@@ -37,7 +38,7 @@ from .valued import (
     FracElement,
     LaurentElement,
     ValuationConfig,
-    solve,
+    solve_fraction_free,
 )
 
 __all__ = [
@@ -88,15 +89,21 @@ def _mat_eq(A, B):
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
-def _frac_identity(cfg: ValuationConfig, d: int):
-    one, zero = FracElement(cfg.one()), FracElement(cfg.zero())
-    return [[one if i == j else zero for j in range(d)] for i in range(d)]
+def _identity(cfg: ValuationConfig, d: int):
+    return [[cfg.one() if i == j else cfg.zero() for j in range(d)] for i in range(d)]
 
 
-def _frac_inverse(A, cfg: ValuationConfig):
-    """Exact inverse over the fraction field; ``ZeroDivisionError`` if singular."""
-    M = [[x if isinstance(x, FracElement) else FracElement(x) for x in row] for row in A]
-    return solve(M, _frac_identity(cfg, len(A)))[0]
+def _inverse(A, cfg: ValuationConfig):
+    """Exact inverse as fractions over one determinant; ``ZeroDivisionError`` if singular.
+
+    A row holding fractions is cleared by ``s_i``, the product of its denominators,
+    and column ``i`` of the inverse is multiplied back by ``s_i``.
+    """
+    s = [prod((x.den for x in row if isinstance(x, FracElement)), start=cfg.one()) for row in A]
+    A = [[x.num * si.exact_div(x.den) if isinstance(x, FracElement) else x * si for x in row]
+         for row, si in zip(A, s)]
+    N, delta = solve_fraction_free(A, _identity(cfg, len(A)))
+    return [[FracElement(n * si, delta) for n, si in zip(row, s)] for row in N]
 
 
 # -- the module type ----------------------------------------------------------
@@ -155,16 +162,10 @@ def rank_one(config: ValuationConfig, entries: Dict[str, LaurentElement]) -> Dif
 def direct_sum(M1: DiffModule, M2: DiffModule) -> DiffModule:
     if M1.config != M2.config or set(M1.matrices) != set(M2.matrices):
         raise ValueError("summands must share configuration and axes")
-    cfg = M1.config
-    d1, d2 = M1.rank, M2.rank
-    z = cfg.zero()
-    mats = {}
-    for a in M1.matrices:
-        A, B = M1.matrices[a], M2.matrices[a]
-        top = [row + [z] * d2 for row in A]
-        bot = [[z] * d1 + row for row in B]
-        mats[a] = top + bot
-    return DiffModule(cfg, d1 + d2, mats, check=False)
+    z = M1.config.zero()
+    mats = {a: [row + [z] * M2.rank for row in A] + [[z] * M1.rank + row for row in M2.matrices[a]]
+            for a, A in M1.matrices.items()}
+    return DiffModule(M1.config, M1.rank + M2.rank, mats, check=False)
 
 
 def dual(M: DiffModule) -> DiffModule:
@@ -174,26 +175,12 @@ def dual(M: DiffModule) -> DiffModule:
 def tensor(M1: DiffModule, M2: DiffModule) -> DiffModule:
     if M1.config != M2.config or set(M1.matrices) != set(M2.matrices):
         raise ValueError("factors must share configuration and axes")
-    cfg = M1.config
+    z = M1.config.zero()
     d1, d2 = M1.rank, M2.rank
-    z = cfg.zero()
-    mats = {}
-    for a in M1.matrices:
-        A, B = M1.matrices[a], M2.matrices[a]
-        N = [[z for _ in range(d1 * d2)] for _ in range(d1 * d2)]
-        for i in range(d1):
-            for j in range(d1):
-                for k in range(d2):
-                    for l in range(d2):
-                        val = cfg.zero()
-                        if k == l:
-                            val = val + A[i][j]
-                        if i == j:
-                            val = val + B[k][l]
-                        if not val.is_zero():
-                            N[i * d2 + k][j * d2 + l] = val
-        mats[a] = N
-    return DiffModule(cfg, d1 * d2, mats, check=False)
+    mats = {a: [[(A[i][j] if k == l else z) + (M2.matrices[a][k][l] if i == j else z)
+                 for j in range(d1) for l in range(d2)] for i in range(d1) for k in range(d2)]
+            for a, A in M1.matrices.items()}
+    return DiffModule(M1.config, d1 * d2, mats, check=False)
 
 
 def from_companion(P: TwistedPoly) -> DiffModule:
@@ -310,10 +297,11 @@ def cyclic_vector(M: DiffModule, axis: str) -> Tuple[list, TwistedPoly]:
     """A Laurent cyclic vector plus its annihilator over the rational-function field.
 
     Each candidate ``v`` is a Laurent vector, and :func:`apply_connection`
-    keeps ``v, Dv, ..., D^d v`` Laurent.  One exact :func:`valued.solve` of
-    ``[v, Dv, ..., D^{d-1}v] c = -D^d v`` over fractions then gives the monic
-    ``P = T^d + sum c_i T^i`` with ``P(D)v = 0``.  A singular system means
-    ``v`` is not cyclic, and the next candidate is tried.
+    keeps ``v, Dv, ..., D^d v`` Laurent.  One Bareiss elimination
+    (:func:`valued.solve_fraction_free`) of ``[v, Dv, ..., D^{d-1}v] c = -D^d v``
+    gives Laurent numerators ``n_i`` over one determinant ``delta``, and the
+    monic ``P = T^d + sum (n_i/delta) T^i`` has ``P(D)v = 0``.  ``v`` is cyclic
+    iff ``delta != 0``; otherwise the next candidate is tried.
     """
     d = M.rank
     tried = 0
@@ -322,12 +310,12 @@ def cyclic_vector(M: DiffModule, axis: str) -> Tuple[list, TwistedPoly]:
         for _ in range(d):
             cols.append(apply_connection(M, axis, cols[-1]))
         try:
-            X = solve([[FracElement(x) for x in row] for row in zip(*cols[:d])],
-                      [[FracElement(-x)] for x in cols[d]])[0]
+            N, delta = solve_fraction_free(list(zip(*cols[:d])), [[-x] for x in cols[d]])
         except ZeroDivisionError:
             tried += 1
             continue
-        return vec, TwistedPoly(M.config, axis, [row[0] for row in X] + [M.config.one()])
+        return vec, TwistedPoly(M.config, axis,
+                                [FracElement(n, delta) for n, in N] + [M.config.one()])
     raise CyclicSearchError(f"cyclic search bound exceeded after {tried} candidates")
 
 
@@ -366,11 +354,7 @@ class RadiiMultiset:
 
     def values(self) -> list:
         """Visible values expanded with multiplicity, decreasing."""
-        out = []
-        for v, m, c in self.entries:
-            if not c:
-                out.extend([v] * m)
-        return out
+        return [v for v, m, c in self.entries if not c for _ in range(m)]
 
     def union(self, other: "RadiiMultiset") -> "RadiiMultiset":
         if self.kind != other.kind:
@@ -552,7 +536,7 @@ def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extr
     for _ in range(d - 1):
         basis_cols.append(apply_connection(M, axis, basis_cols[-1]))
     W = _approx_mat([[basis_cols[j][i] for j in range(d)] for i in range(d)], r, cut)
-    Winv = _frac_inverse(W, cfg)
+    Winv = _inverse(W, cfg)
 
     high_projectors = []
     Pop = opposite(P)
@@ -567,16 +551,15 @@ def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extr
         for i in range(d - k):
             cols.append(_coords_mod(P, Ahat, i))
         U = _approx_mat([[cols[j][i] for j in range(d)] for i in range(d)], r, cut)
-        Uinv = _frac_inverse(U, cfg)
-        zero = FracElement(cfg.zero())
-        sel = [[U[i][j] if j >= k else zero for j in range(d)] for i in range(d)]
+        Uinv = _inverse(U, cfg)
+        sel = [[U[i][j] if j >= k else cfg.zero() for j in range(d)] for i in range(d)]
         Pi_cyc = _approx_mat(mat_mul(sel, Uinv), r, cut)
         Pi = _approx_mat(mat_mul(_approx_mat(mat_mul(W, Pi_cyc), r, cut), Winv), r, cut)
         high_projectors.append(Pi)
 
     # part projectors as nested differences: low-to-high ordering of splits
     projs = []
-    prev = _frac_identity(cfg, d)
+    prev = _identity(cfg, d)
     for Pi in high_projectors:
         diff = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(prev, Pi)]
         projs.append(diff)

@@ -92,7 +92,7 @@ class TwistedPoly:
             raise ValueError("twist_sign must be +1 or -1")
         cs = list(coeffs)
         if any(isinstance(c, FracElement) for c in cs):
-            cs = [c if isinstance(c, FracElement) else FracElement(c) for c in cs]
+            cs = [FracElement.lift(c) for c in cs]
         while cs and cs[-1].is_zero():
             cs.pop()
         self.config = config
@@ -121,15 +121,12 @@ class TwistedPoly:
 
     def laurent(self) -> "TwistedPoly":
         """The same polynomial over Laurent coefficients; ``ValueError`` if one is
-        a fraction whose denominator is not a monomial."""
-        cs = []
-        for c in self.coeffs:
-            if isinstance(c, FracElement):
-                if len(c.den.terms) != 1:
-                    raise ValueError("polynomial has non-Laurent coefficients")
-                c = c.num * c.den ** -1
-            cs.append(c)
-        return self._clone(cs)
+        a fraction whose denominator does not divide its numerator."""
+        try:
+            return self._clone([c.num.exact_div(c.den) if isinstance(c, FracElement) else c
+                                for c in self.coeffs])
+        except ValueError:
+            raise ValueError("polynomial has non-Laurent coefficients") from None
 
     def is_untwisted(self) -> bool:
         """True when the derivation kills every coefficient."""
@@ -221,12 +218,7 @@ class TwistedPoly:
 def twisted_mul(P: TwistedPoly, Q: TwistedPoly) -> TwistedPoly:
     """Product in the twisted ring; degrees add, leading coefficients multiply."""
     P._check_compatible(Q)
-    out = P._clone([])
-    for i, c in enumerate(P.coeffs):
-        if c.is_zero():
-            continue
-        out = out + P.monomial_times(c, i, Q)
-    return out
+    return sum((P.monomial_times(c, i, Q) for i, c in enumerate(P.coeffs) if c), P._clone([]))
 
 
 def opposite(P: TwistedPoly) -> TwistedPoly:
@@ -236,11 +228,9 @@ def opposite(P: TwistedPoly) -> TwistedPoly:
     :meth:`TwistedPoly.monomial_times` in the target ring, where
     ``T a = a T - d(a)``; applying the map twice returns the input.
     """
-    target = TwistedPoly(P.config, P.axis, [], -P.twist_sign)
-    for i, a in enumerate(P.coeffs):
-        if not a.is_zero():
-            target = target + target.monomial_times(P.config.one(), i, target._clone([a]))
-    return target
+    ring = TwistedPoly(P.config, P.axis, [], -P.twist_sign)
+    return sum((ring.monomial_times(P.config.one(), i, ring._clone([a]))
+                for i, a in enumerate(P.coeffs) if a), ring)
 
 
 @dataclass(frozen=True)
@@ -260,10 +250,8 @@ class NewtonPolygon:
 
     @property
     def slopes(self) -> tuple:
-        out = []
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
-            out.append(((y1 - y0) / (x1 - x0), x1 - x0))
-        return tuple(out)
+        return tuple(((y1 - y0) / (x1 - x0), x1 - x0)
+                     for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]))
 
     def classical_slopes(self) -> tuple:
         """The x-mirrored slope multiset ``[(f, mult)]`` ascending, ``f = -slope``."""
@@ -271,16 +259,10 @@ class NewtonPolygon:
 
     def slope_list(self) -> list:
         """Slopes expanded with multiplicity, ascending."""
-        out = []
-        for s, m in self.slopes:
-            out.extend([s] * m)
-        return out
+        return [s for s, m in self.slopes for _ in range(m)]
 
     def classical_slope_list(self) -> list:
-        out = []
-        for s, m in self.classical_slopes():
-            out.extend([s] * m)
-        return out
+        return [s for s, m in self.classical_slopes() for _ in range(m)]
 
 
 def newton_polygon(P: TwistedPoly, r: Sequence) -> NewtonPolygon:
@@ -440,9 +422,6 @@ def robba_factor(
     e = d - k
     cut = precision + max(Fraction(0), -2 * P.min_valuation(r)) + 8
 
-    def fr(x):
-        return x if isinstance(x, FracElement) else FracElement(x)
-
     B = P._clone(list(P.coeffs[k:]))
     best = None
     for _ in range(budget):
@@ -458,10 +437,10 @@ def robba_factor(
         for j in range(e):
             # A T^j: right multiplication by T^j does not twist, it shifts
             _, rem = P._clone([cfg.zero()] * j + list(A.coeffs)).rdivmod(B)
-            cols.append([fr(rem.coeff(i)) for i in range(e)])
+            cols.append([FracElement.lift(rem.coeff(i)) for i in range(e)])
         M = [[cols[j][i] for j in range(e)] for i in range(e)]
         try:
-            X, _, _ = solve(M, [[fr(E.coeff(i))] for i in range(e)])
+            X, _, _ = solve(M, [[FracElement.lift(E.coeff(i))] for i in range(e)])
         except ZeroDivisionError:
             raise NonConvergence("singular correction system") from None
         delta = [row[0] for row in X]

@@ -22,7 +22,7 @@ operations are pure and values are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from operator import add, sub
 from typing import Mapping, Sequence, Union
 
@@ -38,6 +38,7 @@ __all__ = [
     "gauss_valuation",
     "term_valuation",
     "solve",
+    "solve_fraction_free",
     "derive",
     "valuation_function",
     "is_unit_on_annulus",
@@ -94,14 +95,7 @@ ValuationValue = Union[Fraction, Infinity]
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _ord_int(n: int, p: int) -> int:
@@ -272,17 +266,22 @@ class LaurentElement:
         return bool(self.terms)
 
     def __eq__(self, other):
+        if isinstance(other, LaurentElement):
+            return self.config == other.config and self._key == other._key
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.config == o.config and self._key == o._key
+        return self._key == o._key
 
     def __hash__(self):
         return hash(self._key)
 
     def _coerce(self, other):
-        """``other`` as a Laurent element; None for a fraction, whose reflected method answers."""
+        """``other`` as a Laurent element; None for a fraction, whose reflected method answers.
+        ``ValueError`` for a Laurent element of another configuration."""
         if isinstance(other, LaurentElement):
+            if other.config is not self.config and other.config != self.config:
+                raise ValueError("Laurent elements of different configurations")
             return other
         if isinstance(other, (int, Fraction)):
             return self.config.scalar(other)
@@ -338,13 +337,44 @@ class LaurentElement:
 
     __rmul__ = __mul__
 
+    def exact_div(self, other) -> "LaurentElement":
+        """The quotient ``self / other``, which must lie in the Laurent ring.
+
+        Long division by the lex-leading term of the keys ``(e, i)``, so it divides
+        in every ``u_j`` and ``t_k`` at once.  Newton polytopes add under products,
+        so each exponent of an exact quotient lies between those of
+        ``min(self) - min(other)`` and ``max(self) - max(other)``.  A key outside
+        that finite box raises ``ValueError("not an exact divisor")``; the keys fall
+        strictly, so the division ends.  ``ZeroDivisionError`` if ``other`` is zero.
+        """
+        o = self._coerce(other)
+        if o is None:
+            raise TypeError("exact_div needs a Laurent or rational divisor")
+        if not o.terms:
+            raise ZeroDivisionError("exact_div by zero")
+        (be, bi), bc = lead = max(o.terms.items())
+        rest = [kc for kc in o.terms.items() if kc != lead]
+        box = [(min(x) - min(y), max(x) - max(y)) for x, y in
+               zip(zip(*(e + i for e, i in self.terms)), zip(*(e + i for e, i in o.terms)))]
+        rem, q = dict(self.terms), {}
+        while rem:
+            top = max(rem)
+            ke, ki = key = (tuple(map(sub, top[0], be)), tuple(map(sub, top[1], bi)))
+            if any(not lo <= x <= hi for x, (lo, hi) in zip(ke + ki, box)):
+                raise ValueError("not an exact divisor")
+            c = q[key] = _ratio(rem.pop(top), bc)
+            for (e, i), b in rest:
+                k = (tuple(map(add, ke, e)), tuple(map(add, ki, i)))
+                v = rem.get(k, 0) - c * b
+                if v:
+                    rem[k] = v
+                else:
+                    del rem[k]
+        return LaurentElement._trusted(self.config, q)
+
     def __pow__(self, n: int):
-        if n < 0:
-            if len(self.terms) == 1:
-                ((e, i), c), = self.terms.items()
-                key = (tuple(-x for x in e), tuple(-x for x in i))
-                return LaurentElement(self.config, {key: Fraction(1, c)}) ** (-n)
-            raise ValueError("negative powers only for monomials")
+        if n < 0:  # the units of the Laurent ring are its monomials
+            return self.config.one().exact_div(self) ** -n
         result = self.config.one()
         base = self
         while n:
@@ -425,8 +455,9 @@ class FracElement:
 
     Gauss valuations extend multiplicatively: ``v(num/den) = v(num) - v(den)``.
     Only light normalization is performed (common monomial and rational scalar),
-    enough to keep coefficients tame in small linear algebra.  Equal elements
-    may store different ``num``/``den``, so the class is unhashable.
+    never a common factor, so Laurent systems solve fraction-free
+    (:func:`solve_fraction_free`) and wrap each result once as ``n_i / delta``.
+    Equal elements may store different ``num``/``den``, so the class is unhashable.
     """
 
     __slots__ = ("num", "den")
@@ -453,13 +484,16 @@ class FracElement:
     def __bool__(self):
         return not self.is_zero()
 
+    @staticmethod
+    def lift(x) -> "FracElement":
+        """``x`` as a fraction: a fraction as it is, a Laurent element over 1."""
+        return x if isinstance(x, FracElement) else FracElement(x)
+
     def _coerce(self, other) -> "FracElement":
-        if isinstance(other, FracElement):
-            return other
-        if isinstance(other, LaurentElement):
-            return FracElement(other)
         if isinstance(other, (int, Fraction)):
-            return FracElement(self.config.scalar(other))
+            other = self.config.scalar(other)
+        if isinstance(other, (FracElement, LaurentElement)):
+            return FracElement.lift(other)
         return None
 
     def __eq__(self, other):
@@ -506,6 +540,8 @@ class FracElement:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o / self
 
     def derive(self, axis: str) -> "FracElement":
@@ -578,6 +614,12 @@ def solve(A, B):
     order fixes the stored ``num``/``den`` of the result.  Returns
     ``(X, sign, pivots)`` with ``det A = sign * prod(pivots)``; raises
     ``ZeroDivisionError`` when ``A`` is singular.
+
+    Laurent systems go through :func:`solve_fraction_free`.  This one serves field
+    systems only: ``robba_factor``'s correction over ``FracElement``, whose stored
+    ``num``/``den`` feed ``_laurent_approx`` (a fraction-free solve would hand it
+    other denominators), and ``UnimodularMatrix`` over ``Fraction``, where
+    elimination has no common factor to keep out.
     """
     n = len(A)
     M = [list(a) + list(b) for a, b in zip(A, B)]
@@ -597,6 +639,36 @@ def solve(A, B):
                 f = M[i][col]
                 M[i] = [x - f * y for x, y in zip(M[i], M[col])]
     return [row[n:] for row in M], sign, pivots
+
+
+def solve_fraction_free(A, B):
+    """Bareiss solution ``(N, delta)`` of ``A X = B`` over the Laurent ring: ``X = N / delta``.
+
+    Each column takes the first nonzero pivot, swapping rows, and each update
+    ``pivot * M_ij - M_ik * M_kj`` is divided exactly by the previous pivot
+    (Sylvester's identity), so entries stay minors of ``[A | B]`` and ``delta``,
+    the last pivot, is ``det A`` up to sign.  Back substitution
+    ``N_i = (delta B_i - sum_{j>i} U_ij N_j) / U_ii`` is exact too, since ``N_i``
+    is a Cramer minor.  Raises ``ZeroDivisionError`` iff ``det A = 0``.
+    """
+    n = len(A)
+    M = [list(a) + list(b) for a, b in zip(A, B)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        M[k], M[piv] = M[piv], M[k]
+        for row in M[k + 1:]:
+            row[k + 1:] = [(M[k][k] * x - row[k] * y).exact_div(prev)
+                           for x, y in zip(row[k + 1:], M[k][k + 1:])]
+        prev = M[k][k]
+    N = [None] * n
+    for i in reversed(range(n)):
+        row = M[i]
+        N[i] = [(prev * b - sum((row[j] * N[j][c] for j in range(i + 1, n)), 0)).exact_div(row[i])
+                for c, b in enumerate(row[n:])]
+    return N, prev
 
 
 def derive(x, axis: str):

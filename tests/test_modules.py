@@ -150,6 +150,27 @@ def _charpoly_cases():
     M = direct_sum(rank_one(c, pot(1, -1, -1)), rank_one(c, pot(-1, -1, -3)))
     yield pytest.param(M, "t1", id="two-variable-t1")
     yield pytest.param(M, "t2", id="two-variable-t2")
+    for rank in (5, 6):
+        yield pytest.param(_twist_ladder(rank), "t1", id=f"twists-p2-rank{rank}")
+    c = ValuationConfig(2, (F(0),), 1)
+    u, t = c.u(1), c.t(1)
+
+    def upot(k, m, n):  # d/du, d/dt of k u^m t^n
+        return {"u1": c.scalar(k * m) * u ** (m - 1) * t ** n,
+                "t1": c.scalar(k * n) * u ** m * t ** (n - 1)}
+
+    M = direct_sum(direct_sum(rank_one(c, upot(1, -2, -1)), rank_one(c, upot(3, -1, -2))),
+                   rank_one(c, upot(-1, -3, 1)))
+    yield pytest.param(M, "u1", id="base-u1-rank3")
+
+
+def _twist_ladder(rank):
+    """Direct sum of the twists ``t^-k``, ``k = 2..rank+1``, at p = 2."""
+    c = ValuationConfig(2)
+    M = rank_one(c, {"t1": c.t(1, -2)})
+    for k in range(3, rank + 2):
+        M = direct_sum(M, rank_one(c, {"t1": c.t(1, -k)}))
+    return M
 
 
 @pytest.mark.parametrize("M, axis", _charpoly_cases())
@@ -162,6 +183,17 @@ def test_charpoly_annihilates_cyclic_vector(M, axis):
         Dv = apply_connection(M, axis, Dv)
         acc = [a + c * x for a, x in zip(acc, Dv)]
     assert not any(acc)
+
+
+def test_charpoly_is_numerators_over_one_determinant():
+    """Rank 6 stores at most 80-term numerators over a Delta of at most 60 terms.
+
+    Gauss-Jordan over fractions stored up to 766 and 746 terms for this module.
+    """
+    _, P = cyclic_vector(_twist_ladder(6), "t1")
+    coeffs = P.coeffs[:-1]
+    assert max(len(c.num.terms) for c in coeffs) <= 80
+    assert max(len(c.den.terms) for c in coeffs) <= 60
 
 
 def test_companion_roundtrip(cfg2):

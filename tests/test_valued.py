@@ -14,6 +14,7 @@ from annuli import (
     is_unit_on_annulus,
     valuation_function,
 )
+from annuli.valued import solve, solve_fraction_free
 
 F = Fraction
 
@@ -226,3 +227,90 @@ def test_laurent_serialization_roundtrip(cfg2u):
     obj = laurent_to_obj(x)
     assert obj["terms"][0]["c"] in ("5", "3/7")
     assert laurent_from_obj(cfg2u, obj) == x
+
+
+def test_rtruediv_by_unsupported_type_raises_type_error(cfg2):
+    q = FracElement(cfg2.t(1), cfg2.t(1) + cfg2.one())
+    with pytest.raises(TypeError):
+        1.5 / q
+
+
+def test_laurent_arithmetic_across_configs_raises():
+    c1, c2 = ValuationConfig(2, (), 1), ValuationConfig(2, (), 2)
+    for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a.exact_div(b)):
+        with pytest.raises(ValueError, match="different configurations"):
+            op(c1.t(1), c2.t(2))
+    assert c1.t(1) != c2.t(1)
+    twin = ValuationConfig(2, (), 1)  # equal, not identical: a pullback builds such configs
+    assert c1.t(1) * twin.t(1) == c1.t(1, 2)
+
+
+# -- exact division and the fraction-free solve ---------------------------------------
+
+_div_cfgs = [ValuationConfig(2, (F(0),) * m, n) for m in (0, 1) for n in (1, 2)]
+
+
+def _laurent_st(cfg, max_terms=4, coeffs=_coeffs, span=2):
+    nvars = cfg.m_base + cfg.n_geom
+    term = st.tuples(st.lists(st.integers(-span, span), min_size=nvars, max_size=nvars), coeffs)
+    return st.lists(term, max_size=max_terms).map(
+        lambda ts: sum((cfg.monomial(c, u=ex[:cfg.m_base], t=ex[cfg.m_base:]) for ex, c in ts),
+                       cfg.zero()))
+
+
+@st.composite
+def _dividend_divisor(draw):
+    cfg = draw(st.sampled_from(_div_cfgs))
+    return draw(_laurent_st(cfg)), draw(_laurent_st(cfg).filter(bool))
+
+
+@settings(max_examples=80)
+@given(ab=_dividend_divisor())
+def test_exact_div_inverts_product(ab):
+    a, b = ab
+    assert (a * b).exact_div(b) == a
+    if len(b.terms) >= 2:  # b is no unit, so it cannot divide a * b + 1
+        with pytest.raises(ValueError, match="not an exact divisor"):
+            (a * b + 1).exact_div(b)
+    with pytest.raises(ZeroDivisionError):
+        a.exact_div(b.config.zero())
+
+
+def test_exact_div_leaves_the_quotient_box():
+    # highest-term division of x + 1 by x + x/y runs down 1 - 1/y + 1/y^2 - ... in y
+    # alone; the exponent box of the quotient stops it
+    c = ValuationConfig(2, (), 2)
+    x, y = c.t(1), c.t(2)
+    with pytest.raises(ValueError, match="not an exact divisor"):
+        (x + 1).exact_div(x + x * y ** -1)
+
+
+@st.composite
+def _laurent_system(draw):
+    cfg = draw(st.sampled_from(_div_cfgs))
+    # small systems: Gauss-Jordan over fractions never cancels, so in several
+    # variables or with big entries the reference itself takes minutes
+    n = draw(st.integers(1, 4 if cfg.m_base + cfg.n_geom == 1 else 3))
+    entry = _laurent_st(cfg, max_terms=2, coeffs=st.sampled_from([-3, -1, 1, 2, F(1, 2), F(5, 3)]),
+                        span=1)
+    A = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):  # make A singular: its last row a multiple of the first
+        f = draw(entry)
+        A[-1] = [f * x for x in A[0]]
+    return A, [[draw(entry)] for _ in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=_laurent_system())
+def test_fraction_free_solve_matches_field_solve(system):
+    A, B = system
+    try:
+        X = solve([[FracElement(x) for x in row] for row in A],
+                  [[FracElement(x) for x in row] for row in B])[0]
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            solve_fraction_free(A, B)
+        return
+    N, delta = solve_fraction_free(A, B)
+    for (n,), (x,) in zip(N, X):
+        assert FracElement(n, delta) == x

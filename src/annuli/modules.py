@@ -176,7 +176,7 @@ def tensor(M1: DiffModule, M2: DiffModule) -> DiffModule:
     if M1.config != M2.config or set(M1.matrices) != set(M2.matrices):
         raise ValueError("factors must share configuration and axes")
     z = M1.config.zero()
-    d1, d2 = M1.rank, M2.rank
+    d1, d2 = M1.rank, M2.rank  # N = A (x) 1 + 1 (x) B: row i*d2 + k, column j*d2 + l
     mats = {a: [[(A[i][j] if k == l else z) + (M2.matrices[a][k][l] if i == j else z)
                  for j in range(d1) for l in range(d2)] for i in range(d1) for k in range(d2)]
             for a, A in M1.matrices.items()}

@@ -6,6 +6,7 @@ import pytest
 from annuli import (
     INF,
     DiffModule,
+    FracElement,
     TwistedPoly,
     ValuationConfig,
     apply_connection,
@@ -356,6 +357,17 @@ def test_tame_intrinsic_invariance(cfg3):
 
 
 # -- fiber decomposition ----------------------------------------------------------
+
+
+def test_inverse_clears_fraction_rows(cfg2):
+    """A row with fraction entries (``_laurent_approx`` without a dominant term) inverts
+    exactly: it is cleared by its denominators and the inverse is scaled back."""
+    t, one = cfg2.t(1), cfg2.one()
+    A = [[FracElement(one, one + t), FracElement(t, one - t)], [t ** -1, one + t]]
+    inv = modules._inverse(A, cfg2)
+    assert mat_mul(A, inv) == [[one, cfg2.zero()], [cfg2.zero(), one]]
+    with pytest.raises(ZeroDivisionError):
+        modules._inverse([[FracElement(one, one + t), one], [one, one + t]], cfg2)
 
 
 def test_decompose_two_visible(cfg2):

@@ -131,6 +131,22 @@ def lib_robba_trace():
     return "\n".join(repr(x) for x in (trace, qlo, qhi, res))
 
 
+def lib_robba_degree3():
+    """``(T - t^-2)(T - t^-3)(T - t^-4)`` split off a degree-2 (5/2) and a degree-1 (7/2)
+    high factor."""
+    lines = []
+    for p in (2, 3):
+        c = _cfg(p)
+        t = c.t(1)
+        A, B, C = (TwistedPoly(c, "t1", [-(t ** -k), c.one()]) for k in (2, 3, 4))
+        P = twisted_mul(twisted_mul(A, B), C)
+        for split in (F(5, 2), F(7, 2)):
+            trace = []
+            qlo, qhi, _ = robba_factor(P, [F(1)], split, F(4), trace=trace)
+            lines += [f"p={p} split={split}", repr(trace), repr(qlo), repr(qhi)]
+    return "\n".join(lines)
+
+
 def _profile(rank, cells, p=2, axis="t1", weight=None, cap=(0, 1)):
     """Hand-built profile; ``cells`` holds ``(lo, hi, [(slope, value_at_lo), ...])``."""
     cap = (F(cap[0]), F(cap[1]))
@@ -307,8 +323,8 @@ def lib_iterate_dn():
 
 LIB_CASES = {f.__name__[4:]: f for f in (
     lib_twist2_charpoly, lib_upper2_charpoly, lib_twist3_p3_charpoly,
-    lib_two_variable_charpolys, lib_decompose_fiber, lib_robba_trace, lib_verifier_reports,
-    lib_iterate_dn,
+    lib_two_variable_charpolys, lib_decompose_fiber, lib_robba_trace, lib_robba_degree3,
+    lib_verifier_reports, lib_iterate_dn,
 )}
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Dict, Sequence, Tuple
 
 from .twisted import (
@@ -94,16 +93,9 @@ def _identity(cfg: ValuationConfig, d: int):
 
 
 def _inverse(A, cfg: ValuationConfig):
-    """Exact inverse as fractions over one determinant; ``ZeroDivisionError`` if singular.
-
-    A row holding fractions is cleared by ``s_i``, the product of its denominators,
-    and column ``i`` of the inverse is multiplied back by ``s_i``.
-    """
-    s = [prod((x.den for x in row if isinstance(x, FracElement)), start=cfg.one()) for row in A]
-    A = [[x.num * si.exact_div(x.den) if isinstance(x, FracElement) else x * si for x in row]
-         for row, si in zip(A, s)]
+    """Exact inverse as fractions over one determinant; ``ZeroDivisionError`` if singular."""
     N, delta = solve_fraction_free(A, _identity(cfg, len(A)))
-    return [[FracElement(n * si, delta) for n, si in zip(row, s)] for row in N]
+    return [[FracElement(n, delta) for n in row] for row in N]
 
 
 # -- the module type ----------------------------------------------------------

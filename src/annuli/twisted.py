@@ -33,7 +33,7 @@ from .valued import (
     FracElement,
     LaurentElement,
     ValuationConfig,
-    solve,
+    solve_fraction_free,
     term_valuation,
     valuation_function,
 )
@@ -380,8 +380,9 @@ def robba_factor(
 
     Starting from the polygon initializer, each step divides ``P = A B + E``
     on the right, solves the correction ``sum_j dB_j (A T^j mod B) = E``
-    exactly over the fraction field, adds ``dB`` to ``B`` and
-    re-polynomializes each new coefficient against the working fiber with
+    exactly by one Bareiss elimination (:func:`valued.solve_fraction_free`,
+    which clears any fraction rows), adds each ``dB_j = n_j / delta`` to ``B``
+    and re-polynomializes each new coefficient against the working fiber with
     ``_laurent_approx`` (one without a dominant denominator term stays an
     exact fraction for that round); only ``B`` is corrected.
     The system treats the unknowns ``dB_j`` as commuting with ``A``.  That is
@@ -433,19 +434,15 @@ def robba_factor(
             best = (A, B, res)
         if res >= precision:
             return A, B, res
-        cols = []
-        for j in range(e):
-            # A T^j: right multiplication by T^j does not twist, it shifts
-            _, rem = P._clone([cfg.zero()] * j + list(A.coeffs)).rdivmod(B)
-            cols.append([FracElement.lift(rem.coeff(i)) for i in range(e)])
-        M = [[cols[j][i] for j in range(e)] for i in range(e)]
+        # A T^j: right multiplication by T^j does not twist, it shifts
+        rems = [P._clone([cfg.zero()] * j + list(A.coeffs)).rdivmod(B)[1] for j in range(e)]
+        M = [[rem.coeff(i) for rem in rems] for i in range(e)]
         try:
-            X, _, _ = solve(M, [[FracElement.lift(E.coeff(i))] for i in range(e)])
+            N, delta = solve_fraction_free(M, [[E.coeff(i)] for i in range(e)])
         except ZeroDivisionError:
             raise NonConvergence("singular correction system") from None
-        delta = [row[0] for row in X]
-        B = P._clone([_laurent_approx(B.coeff(i) + delta[i], r, cut) for i in range(e)]
-                     + [cfg.one()])
+        B = P._clone([_laurent_approx(B.coeff(i) + FracElement(n, delta), r, cut)
+                      for i, (n,) in enumerate(N)] + [cfg.one()])
     raise NonConvergence(
         f"no convergence within {budget} iterations (best residual {best[2]})",
         factors=(best[0], best[1]),

@@ -22,7 +22,7 @@ operations are pure and values are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import add, sub
 from typing import Mapping, Sequence, Union
 
@@ -455,7 +455,7 @@ class FracElement:
 
     Gauss valuations extend multiplicatively: ``v(num/den) = v(num) - v(den)``.
     Only light normalization is performed (common monomial and rational scalar),
-    never a common factor, so Laurent systems solve fraction-free
+    never a common factor, so ring and fraction systems solve fraction-free
     (:func:`solve_fraction_free`) and wrap each result once as ``n_i / delta``.
     Equal elements may store different ``num``/``den``, so the class is unhashable.
     """
@@ -615,11 +615,10 @@ def solve(A, B):
     ``(X, sign, pivots)`` with ``det A = sign * prod(pivots)``; raises
     ``ZeroDivisionError`` when ``A`` is singular.
 
-    Laurent systems go through :func:`solve_fraction_free`.  This one serves field
-    systems only: ``robba_factor``'s correction over ``FracElement``, whose stored
-    ``num``/``den`` feed ``_laurent_approx`` (a fraction-free solve would hand it
-    other denominators), and ``UnimodularMatrix`` over ``Fraction``, where
-    elimination has no common factor to keep out.
+    Systems over the Laurent ring or its fraction field go through
+    :func:`solve_fraction_free`.  This one serves ``UnimodularMatrix`` over
+    ``Fraction``, where elimination has no common factor to keep out, and the
+    field-side reference in the tests of :func:`solve_fraction_free`.
     """
     n = len(A)
     M = [list(a) + list(b) for a, b in zip(A, B)]
@@ -644,15 +643,22 @@ def solve(A, B):
 def solve_fraction_free(A, B):
     """Bareiss solution ``(N, delta)`` of ``A X = B`` over the Laurent ring: ``X = N / delta``.
 
-    Each column takes the first nonzero pivot, swapping rows, and each update
-    ``pivot * M_ij - M_ik * M_kj`` is divided exactly by the previous pivot
-    (Sylvester's identity), so entries stay minors of ``[A | B]`` and ``delta``,
-    the last pivot, is ``det A`` up to sign.  Back substitution
-    ``N_i = (delta B_i - sum_{j>i} U_ij N_j) / U_ii`` is exact too, since ``N_i``
-    is a Cramer minor.  Raises ``ZeroDivisionError`` iff ``det A = 0``.
+    A row of ``[A | B]`` holding ``FracElement`` entries is cleared first: each entry
+    (a fraction by its numerator) times the denominators of the row's other fractions,
+    so a 1x1 system costs two cross products.  Each column takes the first nonzero
+    pivot, swapping rows, and each update ``pivot * M_ij - M_ik * M_kj`` is divided
+    exactly by the previous pivot (Sylvester's identity), so entries stay minors and
+    ``delta``, the last pivot, is ``det A`` of the cleared rows up to sign.  It heads
+    the last row, whose right-hand side is the last numerator; back substitution
+    ``N_i = (delta B_i - sum_{j>i} U_ij N_j) / U_ii`` is exact for the others, Cramer
+    minors too.  ``n = 0`` gives ``([], 1)``; ``ZeroDivisionError`` iff ``det A = 0``.
     """
     n = len(A)
     M = [list(a) + list(b) for a, b in zip(A, B)]
+    for row in M:
+        dens = [x.den if isinstance(x, FracElement) else None for x in row]
+        row[:] = [prod((d for j, d in enumerate(dens) if d is not None and j != i),
+                       start=x if d is None else x.num) for i, (x, d) in enumerate(zip(row, dens))]
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if M[i][k]), None)
@@ -666,8 +672,9 @@ def solve_fraction_free(A, B):
     N = [None] * n
     for i in reversed(range(n)):
         row = M[i]
-        N[i] = [(prev * b - sum((row[j] * N[j][c] for j in range(i + 1, n)), 0)).exact_div(row[i])
-                for c, b in enumerate(row[n:])]
+        N[i] = row[n:] if i == n - 1 else [
+            (prev * b - sum((row[j] * N[j][c] for j in range(i + 1, n)), 0)).exact_div(row[i])
+            for c, b in enumerate(row[n:])]
     return N, prev
 
 

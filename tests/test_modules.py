@@ -361,7 +361,7 @@ def test_tame_intrinsic_invariance(cfg3):
 
 def test_inverse_clears_fraction_rows(cfg2):
     """A row with fraction entries (``_laurent_approx`` without a dominant term) inverts
-    exactly: it is cleared by its denominators and the inverse is scaled back."""
+    exactly: ``solve_fraction_free`` clears the row of ``[A | I]`` by its denominators."""
     t, one = cfg2.t(1), cfg2.one()
     A = [[FracElement(one, one + t), FracElement(t, one - t)], [t ** -1, one + t]]
     inv = modules._inverse(A, cfg2)

@@ -294,10 +294,19 @@ def _laurent_system(draw):
     entry = _laurent_st(cfg, max_terms=2, coeffs=st.sampled_from([-3, -1, 1, 2, F(1, 2), F(5, 3)]),
                         span=1)
     A = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    B = [[draw(entry)] for _ in range(n)]
+    # some rows of [A | B] hold a fraction over a non-monomial denominator
+    den = draw(entry.filter(lambda x: len(x.terms) > 1))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        j = draw(st.integers(0, n))
+        if j < n:
+            A[i][j] = FracElement(A[i][j], den)
+        else:
+            B[i][0] = FracElement(B[i][0], den)
     if draw(st.booleans()):  # make A singular: its last row a multiple of the first
         f = draw(entry)
         A[-1] = [f * x for x in A[0]]
-    return A, [[draw(entry)] for _ in range(n)]
+    return A, B
 
 
 @settings(max_examples=40, deadline=None)
@@ -305,8 +314,8 @@ def _laurent_system(draw):
 def test_fraction_free_solve_matches_field_solve(system):
     A, B = system
     try:
-        X = solve([[FracElement(x) for x in row] for row in A],
-                  [[FracElement(x) for x in row] for row in B])[0]
+        X = solve([[FracElement.lift(x) for x in row] for row in A],
+                  [[FracElement.lift(x) for x in row] for row in B])[0]
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
             solve_fraction_free(A, B)

@@ -394,10 +394,13 @@ def robba_factor(
     separated high side must be visible: every slope ``>= split_slope`` must
     exceed the negated operator valuation of the derivation at the fiber.
     Untwisted (derivation-constant) input factors at any strict gap.  Pass a
-    list as ``trace`` to receive the residual history.
+    list as ``trace`` to receive the residual history.  ``ValueError`` if
+    ``budget < 1``.
     """
     split_slope = Fraction(split_slope)
     precision = Fraction(precision)
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     if not P.is_monic():
         raise FactorizationError("input must be monic")
     np_ = newton_polygon(P, r)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -407,6 +408,9 @@ SQUARE_OBJ = {"dim": 2, "constraints": [{"slope": s, "const": "1"}
 PROFILE_OBJ = {"axis": "t1", "kind": "extrinsic", "p": 2, "rank": 1, "window": ["0", "1"],
                "axis_weight": None,
                "cells": [{"lo": "0", "hi": "1", "visible": [["0"]], "capped": 0, "cap": ["0", "1"]}]}
+ROBBA_OBJ = json.loads((Path(__file__).resolve().parent / "golden" / "inputs" / "poly_robba.json")
+                       .read_text(encoding="utf-8"))
+FACTOR_ARGV = ["factor", "--fiber", "1", "--split", "5/2", "--precision", "4"]
 
 
 @pytest.mark.parametrize(
@@ -431,11 +435,13 @@ PROFILE_OBJ = {"axis": "t1", "kind": "extrinsic", "p": 2, "rank": 1, "window": [
         (["polyhedral"], {"domain": SQUARE_OBJ, "functionals": [
             {"slope": [1, 0, 0], "const": "0"}, {"slope": [0, 1, 0], "const": "0"}]},
          "functionals[0].slope: expected a list of 2 integers"),
+        (FACTOR_ARGV + ["--budget", "0"], ROBBA_OBJ, "budget must be at least 1"),
+        (FACTOR_ARGV + ["--budget", "-1"], ROBBA_OBJ, "budget must be at least 1"),
     ],
     ids=["frobenius_p_list", "fractional_multiplicity", "polyhedral_no_domain",
          "polyhedral_level_string", "profile_visible_single", "loci_no_direction",
          "intrinsic_no_derivations", "negative_multiplicity", "polyfunc_mixed_dims",
-         "polyfunc_wrong_dim"],
+         "polyfunc_wrong_dim", "factor_budget_zero", "factor_budget_negative"],
 )
 def test_bad_reader_input_exits_1_naming_it(tmp_path, capsys, argv, obj, named):
     path = write(tmp_path, "in.json", obj)
@@ -470,3 +476,9 @@ def test_failed_cyclic_search_exits_1(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["radii", "--input", path, "--axis", "t1", "--window", "1", "2"])
     assert code == 1 and out == "" and err.startswith("error: cyclic search")
     assert "Traceback" not in err
+
+
+def test_rank_zero_module_radii(tmp_path, capsys):
+    path = write(tmp_path, "m.json", {"p": 2, "rank": 0, "n_geom": 1, "matrices": {"t1": []}})
+    code, out, _ = run(capsys, ["radii", "--input", path, "--axis", "t1", "--window", "0", "1"])
+    assert code == 0 and out == "r_left,r_right\n0,1\n"

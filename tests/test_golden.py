@@ -10,6 +10,7 @@ order that equal values would hide.
 
 import json
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,41 @@ def lib_robba_degree3():
             qlo, qhi, _ = robba_factor(P, [F(1)], split, F(4), trace=trace)
             lines += [f"p={p} split={split}", repr(trace), repr(qlo), repr(qhi)]
     return "\n".join(lines)
+
+
+def lib_fiber_truncation():
+    """``robba_factor`` (residual trace and factors) and ``decompose_fiber`` where the
+    fiber valuation has a denominator: p = 3 at r = 1/3 with ``1/3`` in a coefficient,
+    p = 0, and a base parameter of weight 1/2."""
+    def robba(c, roots, r, split):
+        P = reduce(twisted_mul, (TwistedPoly(c, "t1", [-a, c.one()]) for a in roots))
+        trace = []
+        qlo, qhi, _ = robba_factor(P, r, split, F(4), trace=trace)
+        return [repr(trace), repr(qlo), repr(qhi)]
+
+    c3, c0, cu = _cfg(3), _cfg(0), _cfg(2, (F(1, 2),))
+    t3, t0, tu, u = c3.t(1), c0.t(1), cu.t(1), cu.u(1)
+    third = c3.scalar(F(1, 3)) * t3 ** -3
+    cases = [
+        ("robba p=3 r=1/3 (T - t^-2)(T - 1/3 t^-3) split 4/3",
+         robba(c3, [t3 ** -2, third], [F(1, 3)], F(4, 3))),
+        ("decompose p=3 r=1/3 t^-2 + 1/3 t^-3",
+         [repr(decompose_fiber(direct_sum(rank_one(c3, {"t1": t3 ** -2}),
+                                          rank_one(c3, {"t1": third})), "t1", [F(1, 3)], F(3)))]),
+        ("robba p=0 r=1/2 (T - 2/3 t^-2)(T - t^-3) split 5/4",
+         robba(c0, [c0.scalar(F(2, 3)) * t0 ** -2, t0 ** -3], [F(1, 2)], F(5, 4))),
+        ("decompose p=0 r=1 2/3 t^-2 + -t^-4",
+         [repr(decompose_fiber(direct_sum(rank_one(c0, {"t1": c0.scalar(F(2, 3)) * t0 ** -2}),
+                                          rank_one(c0, {"t1": -(t0 ** -4)})), "t1", [F(1)], F(3)))]),
+        ("robba weight 1/2 r=1 (T - u t^-2)(T - 1/2 t^-3) split 11/4",
+         robba(cu, [u * tu ** -2, cu.scalar(F(1, 2)) * tu ** -3], [F(1)], F(11, 4))),
+        ("decompose weight 1/2 r=1 d(u/t) + d(t^-3/2)",
+         [repr(decompose_fiber(direct_sum(
+             rank_one(cu, {"t1": -u * tu ** -2, "u1": tu ** -1}),
+             rank_one(cu, {"t1": cu.scalar(F(-3, 2)) * tu ** -4, "u1": cu.zero()})),
+             "t1", [F(1)], F(3)))]),
+    ]
+    return "\n".join(line for name, reprs in cases for line in [name, *reprs])
 
 
 def _profile(rank, cells, p=2, axis="t1", weight=None, cap=(0, 1)):
@@ -324,7 +360,7 @@ def lib_iterate_dn():
 LIB_CASES = {f.__name__[4:]: f for f in (
     lib_twist2_charpoly, lib_upper2_charpoly, lib_twist3_p3_charpoly,
     lib_two_variable_charpolys, lib_decompose_fiber, lib_robba_trace, lib_robba_degree3,
-    lib_verifier_reports, lib_iterate_dn,
+    lib_fiber_truncation, lib_verifier_reports, lib_iterate_dn,
 )}
 
 

@@ -33,8 +33,8 @@ from .valued import (
     FracElement,
     LaurentElement,
     ValuationConfig,
+    _valued_terms,
     solve_fraction_free,
-    term_valuation,
     valuation_function,
 )
 
@@ -322,45 +322,37 @@ def slope_functions(P: TwistedPoly, axis: str, window, frozen: Sequence = ()) ->
     return SlopeFunctions(fs, Fs, (lo, hi))
 
 
-def _truncate(coeff, r, cut):
-    """Drop Laurent terms whose valuation at the working fiber exceeds ``cut``."""
-    cfg = coeff.config
-    return LaurentElement(
-        cfg, {key: c for key, c in coeff.terms.items() if term_valuation(cfg, key, c, r) <= cut}
-    )
-
-
 def _laurent_approx(x, r: Sequence, cut):
     """A Laurent polynomial within Gauss valuation ``cut`` of ``x`` at ``r``, or ``x``.
 
     A Laurent ``x`` is truncated at ``cut``.  A fraction expands its
     denominator against the strictly dominant term at the fiber; when no term
     dominates, ``x`` itself comes back, exact, and the caller keeps that one
-    entry as a fraction for the round.
+    entry as a fraction for the round.  Terms beyond ``cut`` (beyond the working
+    cut of the series) are dropped inside each product of the expansion
+    (:meth:`LaurentElement.truncated_mul`), so they are never formed.
     """
     if isinstance(x, LaurentElement):
-        return _truncate(x, r, cut)
+        return x.truncate(r, cut)
     num, den = x.num, x.den
     if len(den.terms) == 1:  # a zero fraction has den 1
-        return _truncate(num * den ** -1, r, cut)
-    vals = sorted((term_valuation(den.config, k, c, r), k, c) for k, c in den.terms.items())
-    v0 = vals[0][0]
-    if vals[1][0] == v0:
+        return num.truncated_mul(den ** -1, r, cut)
+    D, vals = _valued_terms(den.config, den.terms, r)
+    (v0, key0, c0), (v1, _, _) = sorted(vals)[:2]
+    if v1 == v0:
         return x
-    gap = vals[1][0] - v0
-    key0, c0 = vals[0][1], vals[0][2]
+    gap, v0 = Fraction(v1 - v0, D), Fraction(v0, D)
     m0 = LaurentElement(den.config, {key0: c0})
     m0inv = m0 ** -1
-    u = (den - m0) * m0inv  # valuation gap > 0 at r
+    neg_u = -((den - m0) * m0inv)  # valuation gap > 0 at r
     vnum = num.gauss_valuation(r)
     need = cut - (vnum - v0)
     terms = 0 if need <= 0 else int(need / gap) + 1
-    inv = den.config.one()
-    acc = den.config.one()
+    inv = acc = den.config.one()
     for _ in range(terms):
-        acc = _truncate(-u * acc, r, cut + max(Fraction(0), -vnum) + abs(v0) + 2)
+        acc = neg_u.truncated_mul(acc, r, cut + max(Fraction(0), -vnum) + abs(v0) + 2)
         inv = inv + acc
-    return _truncate(num * m0inv * inv, r, cut)
+    return (num * m0inv).truncated_mul(inv, r, cut)
 
 
 def robba_factor(
@@ -383,8 +375,9 @@ def robba_factor(
     exactly by one Bareiss elimination (:func:`valued.solve_fraction_free`,
     which clears any fraction rows), adds each ``dB_j = n_j / delta`` to ``B``
     and re-polynomializes each new coefficient against the working fiber with
-    ``_laurent_approx`` (one without a dominant denominator term stays an
-    exact fraction for that round); only ``B`` is corrected.
+    ``_laurent_approx``, whose truncated products drop the terms beyond ``cut``
+    as they form (one without a dominant denominator term stays an exact
+    fraction for that round); only ``B`` is corrected.
     The system treats the unknowns ``dB_j`` as commuting with ``A``.  That is
     the exact linearization for untwisted input, where the residual doubles
     per step (measured 1, 2, 4, ..., 64 on constant products at p = 3).  For

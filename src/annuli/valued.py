@@ -22,8 +22,8 @@ operations are pure and values are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm, prod
-from operator import add, sub
+from math import floor, isqrt, lcm, prod
+from operator import add, itemgetter, mul, sub
 from typing import Mapping, Sequence, Union
 
 from .pwaffine import PiecewiseAffine, min_of_lines
@@ -36,14 +36,12 @@ __all__ = [
     "LaurentElement",
     "FracElement",
     "gauss_valuation",
-    "term_valuation",
     "solve",
     "solve_fraction_free",
     "derive",
     "valuation_function",
     "is_unit_on_annulus",
     "omega_val",
-    "ordp",
 ]
 
 
@@ -99,7 +97,10 @@ def _is_prime(n: int) -> bool:
 
 
 def _ord_int(n: int, p: int) -> int:
-    """Exponent of ``p`` in a nonzero integer, stripping powers in doubling chunks."""
+    """Exponent of ``p`` in a nonzero integer of either sign: the lowest set bit at
+    ``p = 2``, otherwise powers stripped in doubling chunks."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         pw, k = p, 1
@@ -110,15 +111,6 @@ def _ord_int(n: int, p: int) -> int:
         n //= pw
         v += k
     return v
-
-
-def ordp(c: Fraction, p: int) -> ValuationValue:
-    """p-adic valuation of a rational; the zero map when ``p == 0``."""
-    if c == 0:
-        return INF
-    if p == 0:
-        return Fraction(0)
-    return Fraction(_ord_int(c.numerator, p) - _ord_int(c.denominator, p))
 
 
 def omega_val(p: int) -> Fraction:
@@ -418,13 +410,53 @@ class LaurentElement:
     def gauss_valuation(self, r: Sequence) -> ValuationValue:
         """Least ``ord_p(c) + e.w + i.r`` over the terms; INF iff zero.
 
-        ``ValueError`` unless ``r`` has one entry per geometric variable.
+        With ``D`` the lcm of the denominators of ``r`` and the u-weights, ``D`` times
+        a term's valuation is the integer ``x + D ord_p(c)``, ``x = e.(D w) + i.(D r)``
+        (:func:`_valued_terms`).  Terms are visited by increasing ``x`` until
+        ``x - D ord_p(L)`` reaches the least value so far, ``L`` the lcm of the
+        coefficient denominators.  The bound is exact: ``c L`` is an integer, so
+        ``ord_p(c) >= -ord_p(L)``.  ``ValueError`` unless ``r`` has one entry per
+        geometric variable.
         """
         cfg = self.config
-        r = tuple(Fraction(x) for x in r)
         if len(r) != cfg.n_geom:
             raise ValueError(f"fiber vector has length {len(r)}, expected {cfg.n_geom}")
-        return min((term_valuation(cfg, key, c, r) for key, c in self.terms.items()), default=INF)
+        D, vals = _valued_terms(cfg, self.terms, r, least=True)
+        return Fraction(vals[-1][0], D) if vals else INF
+
+    def truncate(self, r: Sequence, cut) -> "LaurentElement":
+        """The terms of valuation ``<= cut`` at the fiber ``r``, integral coefficients as ints."""
+        _, vals = _valued_terms(self.config, self.terms, r, cut)
+        return LaurentElement._trusted(
+            self.config, {k: c.numerator if c.denominator == 1 else c for _, k, c in vals})
+
+    def truncated_mul(self, other: "LaurentElement", r: Sequence, cut) -> "LaurentElement":
+        """``(self * other).truncate(r, cut)``, without forming the pairs beyond ``cut``.
+
+        Both factors are scaled to integer numerators as in ``__mul__`` and sorted by
+        exponent part ``x`` at ``r`` (:func:`_fiber_scale`).  A pair with
+        ``x1 + x2 - D ord_p(L1 L2) > cut D`` is skipped: every pair landing on its key
+        has the same exponent part, and the sum there is an integer over ``L1 L2``,
+        so the key's valuation exceeds ``cut`` and no kept coefficient changes.
+        """
+        cfg = self.config
+        if not self.terms or not other.terms:
+            return LaurentElement._trusted(cfg, {})
+        D, part = _fiber_scale(cfg, r)
+        (L1, xs), (L2, ys) = (_int_terms(x.terms) for x in (self, other))
+        xs, ys = (sorted(((part(k), k, n) for k, n in zs), key=itemgetter(0)) for zs in (xs, ys))
+        L = L1 * L2
+        top = floor(cut * D) + (D * _ord_int(L, cfg.p) if cfg.p else 0)
+        acc: dict = {}
+        get = acc.get
+        for x1, (e1, i1), n1 in xs:
+            for x2, (e2, i2), n2 in ys:
+                if x1 + x2 > top:
+                    break
+                k = (tuple(map(add, e1, e2)), tuple(map(add, i1, i2)))
+                acc[k] = get(k, 0) + n1 * n2
+        return LaurentElement._trusted(cfg, {k: _ratio(n, L) for k, n in acc.items() if n}
+                                       ).truncate(r, cut)
 
     def __repr__(self):
         if not self.terms:
@@ -442,6 +474,41 @@ def _int_terms(terms: dict):
     """``(L, [(key, c * L)])`` with ``L`` the lcm of the coefficient denominators."""
     L = lcm(*(c.denominator for c in terms.values()))
     return L, [(k, c.numerator * (L // c.denominator)) for k, c in terms.items()]
+
+
+def _fiber_scale(cfg: ValuationConfig, r: Sequence):
+    """``(D, part)``: ``D`` the lcm of the denominators of ``r`` and the u-weights, and
+    ``part(key)`` the integer exponent part ``e.(D w) + i.(D r)`` of a key ``(e, i)``."""
+    r = [Fraction(q) for q in r]
+    D = lcm(*(q.denominator for q in (*cfg.u_weights, *r)))
+    dw, dr = ([q.numerator * (D // q.denominator) for q in qs] for qs in (cfg.u_weights, r))
+    return D, lambda key: sum(map(mul, key[0], dw), sum(map(mul, key[1], dr)))
+
+
+def _valued_terms(cfg: ValuationConfig, terms: dict, r: Sequence, cut=None, least=False):
+    """``(D, [(v, key, c)])``: the terms valued at the fiber ``r`` on one integer scale.
+
+    The library's one term valuation: ``v``, ``D`` (:func:`_fiber_scale`) times that
+    of ``c u^e t^i``, is the integer ``x + D ord_p(c)``.  Terms are visited by
+    increasing exponent part ``x``, with ``v >= x - D ord_p(L)``, ``L`` the lcm of
+    the coefficient denominators.  Given a rational ``cut``, only terms of valuation
+    ``<= cut`` come back and the visit stops once that bound passes ``cut``;
+    ``least`` lowers the cut below each value kept, so the last is the least.
+    """
+    p = cfg.p
+    D, part = _fiber_scale(cfg, r)
+    low = D * _ord_int(lcm(*(c.denominator for c in terms.values())), p) if p else 0
+    cut = None if cut is None else floor(cut * D)
+    out = []
+    for x, key, c in sorted(((part(k), k, c) for k, c in terms.items()), key=itemgetter(0)):
+        if cut is not None and x - low > cut:
+            break
+        v = x + D * (_ord_int(c.numerator, p) - _ord_int(c.denominator, p)) if p else x
+        if cut is None or v <= cut:
+            out.append((v, key, c))
+            if least:
+                cut = v - 1
+    return D, out
 
 
 def _ratio(n: int, d) -> Union[int, Fraction]:
@@ -579,23 +646,6 @@ def _frac_normalize(num: LaurentElement, den: LaurentElement):
     return shift(num), shift(den)
 
 
-def term_valuation(cfg: ValuationConfig, key, c, r: Sequence) -> Fraction:
-    """Valuation ``ord_p(c) + e.w + i.r`` of the single term ``c * u^e * t^i``.
-
-    ``key`` is the exponent pair ``(e, i)``; ``c`` is a nonzero ``int`` or
-    ``Fraction``.  Zero exponents are skipped, so ``r`` entries there are unread.
-    """
-    e, i = key
-    v = ordp(c, cfg.p)
-    for a, w in zip(e, cfg.u_weights):
-        if a:
-            v += a * w
-    for a, x in zip(i, r):
-        if a:
-            v += a * x
-    return v
-
-
 def gauss_valuation(x, r: Sequence) -> ValuationValue:
     """The Gauss valuation of a Laurent or fraction element at the fiber ``r``.
 
@@ -709,11 +759,8 @@ def valuation_function(
         raise ValueError("frozen vector length mismatch")
     rest = [Fraction(v) for v in frozen]
     rest[idx] = Fraction(0)
-    lines = [
-        (Fraction(key[1][idx]), term_valuation(cfg, key, c, rest))
-        for key, c in x.terms.items()
-    ]
-    return min_of_lines(lines, lo, hi)
+    D, vals = _valued_terms(cfg, x.terms, rest)
+    return min_of_lines([(Fraction(key[1][idx]), Fraction(v, D)) for v, key, _ in vals], lo, hi)
 
 
 def is_unit_on_annulus(x, axis: str, window, frozen: Sequence = ()) -> bool:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annuli import (
@@ -14,7 +14,7 @@ from annuli import (
     is_unit_on_annulus,
     valuation_function,
 )
-from annuli.valued import solve, solve_fraction_free
+from annuli.valued import _ord_int, solve, solve_fraction_free
 
 F = Fraction
 
@@ -323,3 +323,73 @@ def test_fraction_free_solve_matches_field_solve(system):
     N, delta = solve_fraction_free(A, B)
     for (n,), (x,) in zip(N, X):
         assert FracElement(n, delta) == x
+
+
+# -- integer term valuations and the truncated product ---------------------------
+
+
+def _ord_ref(n, p):
+    """p-adic order of a nonzero rational by repeated division; 0 at p = 0."""
+    if p == 0:
+        return 0
+    num, den, v = F(n).numerator, F(n).denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def _field_valuation(x, r):
+    """min over terms of ord_p(c) + e.w + i.r, term by term in Fraction arithmetic."""
+    w = x.config.u_weights
+    return min((_ord_ref(c, x.config.p) + sum((a * b for a, b in zip(e, w)), F(0))
+                + sum((a * b for a, b in zip(i, r)), F(0)) for (e, i), c in x.terms.items()),
+               default=INF)
+
+
+@st.composite
+def _fiber_elements(draw, count):
+    """A configuration (p in {0, 2, 3}, at most one fractional base weight, one or two
+    geometric variables), ``count`` elements and a fractional fiber.  Coefficients carry
+    the prime (2 at p = 0) in the numerator or in the denominator."""
+    p = draw(st.sampled_from([0, 2, 3]))
+    weights = draw(st.lists(st.fractions(-2, 2, max_denominator=4), max_size=1))
+    cfg = ValuationConfig(p, weights, draw(st.integers(1, 2)))
+    q = p or 2
+    coeff = st.builds(lambda a, k: F(a) * F(q) ** k,
+                      st.integers(-9, 9).filter(bool), st.integers(-3, 3))
+    xs = [draw(_laurent_st(cfg, max_terms=6, coeffs=coeff, span=3)) for _ in range(count)]
+    r = draw(st.lists(st.fractions(-3, 3, max_denominator=6), min_size=cfg.n_geom,
+                      max_size=cfg.n_geom))
+    return cfg, xs, r
+
+
+_half_tie = ValuationConfig(2, (), 1)
+
+
+@example(case=(_half_tie, [_half_tie.monomial(F(1, 2), t=(-1,)) + 1 + _half_tie.t(1)], [F(0)]))
+@given(case=_fiber_elements(1))
+def test_gauss_valuation_matches_field_reference(case):
+    """Pruning by exponent part alone fails on ``1/2 t^-1 + 1 + t`` at p = 2, r = 0:
+    the ``1/2`` term has negative ``ord_p`` and sets the minimum, -1."""
+    _, (x,), r = case
+    assert x.gauss_valuation(r) == _field_valuation(x, r)
+
+
+@settings(deadline=None)
+@given(case=_fiber_elements(2), cut=st.fractions(-6, 6, max_denominator=6))
+def test_truncated_mul_matches_truncated_product(case, cut):
+    cfg, (a, b), r = case
+    full = a * b
+    kept = {k: c for k, c in full.terms.items()
+            if _field_valuation(LaurentElement(cfg, {k: c}), r) <= cut}
+    assert full.truncate(r, cut).terms == kept
+    assert a.truncated_mul(b, r, cut).terms == kept
+
+
+@given(k=st.integers(0, 200), m=st.integers(1, 10 ** 12), sign=st.sampled_from([1, -1]))
+def test_ord_int_at_two_matches_division(k, m, sign):
+    n = sign * 2 ** k * m
+    assert _ord_int(n, 2) == _ord_ref(n, 2) == k + _ord_ref(m, 2)
+    assert _ord_int(-abs(m), 2) == _ord_ref(m, 2)

@@ -375,9 +375,9 @@ def robba_factor(
     exactly by one Bareiss elimination (:func:`valued.solve_fraction_free`,
     which clears any fraction rows), adds each ``dB_j = n_j / delta`` to ``B``
     and re-polynomializes each new coefficient against the working fiber with
-    ``_laurent_approx``, whose truncated products drop the terms beyond ``cut``
-    as they form (one without a dominant denominator term stays an exact
-    fraction for that round); only ``B`` is corrected.
+    ``_laurent_approx``, whose truncated products drop the terms beyond the
+    working cut as they form (one without a dominant denominator term stays an
+    exact fraction for that round); only ``B`` is corrected.
     The system treats the unknowns ``dB_j`` as commuting with ``A``.  That is
     the exact linearization for untwisted input, where the residual doubles
     per step (measured 1, 2, 4, ..., 64 on constant products at p = 3).  For

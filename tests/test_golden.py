@@ -171,7 +171,8 @@ def lib_fiber_truncation():
          robba(c0, [c0.scalar(F(2, 3)) * t0 ** -2, t0 ** -3], [F(1, 2)], F(5, 4))),
         ("decompose p=0 r=1 2/3 t^-2 + -t^-4",
          [repr(decompose_fiber(direct_sum(rank_one(c0, {"t1": c0.scalar(F(2, 3)) * t0 ** -2}),
-                                          rank_one(c0, {"t1": -(t0 ** -4)})), "t1", [F(1)], F(3)))]),
+                                          rank_one(c0, {"t1": -(t0 ** -4)})),
+                               "t1", [F(1)], F(3)))]),
         ("robba weight 1/2 r=1 (T - u t^-2)(T - 1/2 t^-3) split 11/4",
          robba(cu, [u * tu ** -2, cu.scalar(F(1, 2)) * tu ** -3], [F(1)], F(11, 4))),
         ("decompose weight 1/2 r=1 d(u/t) + d(t^-3/2)",

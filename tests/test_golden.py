@@ -18,8 +18,8 @@ import pytest
 from annuli import ValuationConfig, direct_sum, rank_one
 from annuli import serialize as ser
 from annuli.cli import main
-from annuli.modules import (DiffModule, cyclic_vector, decompose_fiber, iterate_Dn,
-                            spectral_valuation_estimate)
+from annuli.modules import (DiffModule, cyclic_vector, decompose_fiber, from_companion,
+                            iterate_Dn, spectral_valuation_estimate)
 from annuli.polyhedral import TRPSet, _slice_report, multidim_profile
 from annuli.profiles import ProfileCell, RadiusProfile, build_radius_profile, verify_variation
 from annuli.twisted import TwistedPoly, robba_factor, twisted_mul, verify_newton_properties
@@ -358,10 +358,26 @@ def lib_iterate_dn():
     return "\n".join(lines)
 
 
+def lib_spectral_companion():
+    """``iterate_Dn`` (n = 48) and ``spectral_valuation_estimate`` (n = 128) on the
+    companion module of ``(T - t^-2)(T - t^-4)`` at r = 1, p = 2 and p = 3: ``v(N)``
+    is -6 while the iterates fall by 4 a step."""
+    lines = []
+    for p in (2, 3):
+        c = _cfg(p)
+        t = c.t(1)
+        M = from_companion(twisted_mul(TwistedPoly(c, "t1", [-(t ** -2), c.one()]),
+                                       TwistedPoly(c, "t1", [-(t ** -4), c.one()])))
+        lines.append(f"iterate_Dn p={p}: {iterate_Dn(M, 't1', 48, [F(1)])!r}")
+        lines.append(f"spectral_valuation_estimate p={p}: "
+                     f"{spectral_valuation_estimate(M, 't1', [F(1)], 128)!r}")
+    return "\n".join(lines)
+
+
 LIB_CASES = {f.__name__[4:]: f for f in (
     lib_twist2_charpoly, lib_upper2_charpoly, lib_twist3_p3_charpoly,
     lib_two_variable_charpolys, lib_decompose_fiber, lib_robba_trace, lib_robba_degree3,
-    lib_fiber_truncation, lib_verifier_reports, lib_iterate_dn,
+    lib_fiber_truncation, lib_verifier_reports, lib_iterate_dn, lib_spectral_companion,
 )}
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Dict, Sequence, Tuple
 
 from .twisted import (
@@ -37,6 +38,7 @@ from .valued import (
     FracElement,
     LaurentElement,
     ValuationConfig,
+    _ord_int,
     solve_fraction_free,
 )
 
@@ -214,22 +216,59 @@ def iterate_Dn(M: DiffModule, axis: str, n_max: int, r: Sequence) -> list:
 
     ``D_1 = N`` and ``D_{n+1} = d(D_n) + N D_n``, so each column of ``D_{n+1}``
     is :func:`apply_connection` of that column of ``D_n``; returns
-    ``[(n, min entry valuation at r)]`` for ``n = 1..n_max``.  Results are exact.
+    ``[(n, min entry valuation at r)]`` for ``n = 1..n_max``.  Every value is
+    exact: after the first steps ``D_n`` is carried truncated at the fiber, and
+    each value is certified against an exact lower bound on what was dropped,
+    or comes from an exact rerun (:func:`_iterate_Dn`).
     """
     return _iterate_Dn(M, axis, n_max, r, from_n=1)
 
 
-def _iterate_Dn(M: DiffModule, axis: str, n_max: int, r: Sequence, from_n: int) -> list:
-    """Core recursion; valuations are evaluated only for ``n >= from_n``."""
+def _iterate_Dn(M: DiffModule, axis: str, n_max: int, r: Sequence, from_n: int,
+                cutting: bool = True) -> list:
+    """Certified recursion; valuations are returned only for ``n >= from_n``.
+
+    With ``G_j`` the matrix of ``D^j`` (``G_0 = I``) and ``op`` the operator
+    valuation, Leibniz gives ``D^k y = sum_j C(k, j) G_j d^(k-j) y`` and
+    ``v(d^m f) >= v(f) + m op + ord_p(m!)``, so ``v(D^k y) >= v(y) + gamma_k``
+    with ``gamma_k = min_{j<=k} (v(G_j) + (k-j) op + ord_p((k-j)!))``.  The first
+    ``b = 8`` steps run exact and give ``gamma_1..gamma_b``.  Later ``D_n`` are
+    truncated by Gauss valuation at ``r``, a margin above their least valuation
+    (one cut for p-adic precision and t-degree).  The error ``E_m``, exact minus
+    kept, is ``D^b E_{m-b} + sum_{m-b<n<=m} D^{m-n} y_n`` with ``y_n`` the part
+    dropped at step ``n``, of valuation above its cut ``c_n``; so ``v(E_m) >=
+    err_m = min(err_{m-b} + gamma_b, min_n (c_n + gamma_{m-n}))``.  ``v(D_m)`` is
+    certified when the kept least valuation is below ``err_m``.  When it is not,
+    or the kept part is zero under a finite bound, the loop reruns with no cut.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     r = tuple(Fraction(x) for x in r)
+    b, p, op = 8, M.config.p, M.config.operator_valuation(axis, r)
     cols = [list(col) for col in zip(*M.matrix(axis))]
+    vals, gamma, errs, cuts = [Fraction(0)], [Fraction(0)], [INF], {}
     out = []
     for n in range(1, n_max + 1):
+        v = min((x.gauss_valuation(r) for col in cols for x in col if x), default=INF)
+        if n <= b:
+            vals.append(v)
+            gamma.append(min(vj + (n - j) * op + (_ord_int(factorial(n - j), p) if p else 0)
+                             for j, vj in enumerate(vals)))
+        elif cutting and v is not INF:
+            # the bound falls by gamma_b per b steps and D_n by the prefix's mean
+            # slope: the margin keeps that gap for the steps still to come
+            gap = max(Fraction(0), (vals[b] - vals[1]) / (b - 1) - gamma[b] / b)
+            cut = v + 4 + (n_max - n) * gap
+            kept = [[x.truncate(r, cut) for x in col] for col in cols]
+            if any(len(x.terms) < len(y.terms) for a, c in zip(kept, cols) for x, y in zip(a, c)):
+                cuts[n] = cut
+            cols = kept
+        errs.append(min([errs[n - b] + gamma[b] if n > b else INF]
+                        + [cuts[k] + gamma[n - k] for k in range(n - b + 1, n + 1) if k in cuts]))
         if n >= from_n:
-            out.append((n, min((x.gauss_valuation(r) for col in cols for x in col if x),
-                               default=INF)))
+            if not (errs[n] is INF or v < errs[n]):
+                return _iterate_Dn(M, axis, n_max, r, from_n, cutting=False)
+            out.append((n, v))
         if n < n_max:
             cols = [apply_connection(M, axis, col) for col in cols]
     return out
@@ -240,7 +279,9 @@ def spectral_valuation_estimate(M: DiffModule, axis: str, r: Sequence, n_max: in
 
     Combines the base spectral valuation with the tail of ``v(D_n)/n``; the
     returned window is the oscillation over the last quarter of the samples, a
-    heuristic convergence indicator rather than a bound.
+    heuristic convergence indicator rather than a bound.  Each ``v(D_n)`` in that
+    tail is exact: :func:`_iterate_Dn` certifies it against its lower bound on the
+    truncation error, or reruns exact when the certificate fails.
     """
     if n_max < 16:
         raise ValueError("n_max must be at least 16")

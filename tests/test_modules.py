@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annuli import (
     INF,
@@ -25,7 +27,7 @@ from annuli import (
 )
 from annuli import modules
 from annuli.modules import RadiiMultiset, mat_mul
-from annuli.twisted import NonConvergence
+from annuli.twisted import NonConvergence, twisted_mul
 
 F = Fraction
 
@@ -100,6 +102,141 @@ def test_spectral_estimate_unit_constant(cfg2):
     M = rank_one(cfg2, {"t1": cfg2.one()})
     est, _ = spectral_valuation_estimate(M, "t1", [F(0)], 32)
     assert est == 0
+
+
+# -- certified truncated iterates ----------------------------------------------
+
+FIBERS = (F(-1), F(0), F(1, 3), F(2))
+
+
+def _exact_powers(M, axis, n_max):
+    """``[G_0 = I, G_1 = N, ..., G_n_max]`` by ``G_{n+1} = d(G_n) + N G_n``, exact."""
+    N, d = M.matrix(axis), M.rank
+    G = [[M.config.one() if i == j else M.config.zero() for j in range(d)] for i in range(d)]
+    out = [G]
+    for _ in range(n_max):
+        G = [[G[i][j].derive(axis) + sum((N[i][k] * G[k][j] for k in range(d)),
+                                         M.config.zero())
+              for j in range(d)] for i in range(d)]
+        out.append(G)
+    return out
+
+
+def _mat_val(A, r):
+    return min((x.gauss_valuation(r) for row in A for x in row if x), default=INF)
+
+
+def _ord_fact(k, p):
+    return sum(k // p ** i for i in range(1, 12)) if p else 0
+
+
+@st.composite
+def triangular_modules(draw):
+    """An upper-triangular module of rank <= 3 along ``t1`` or ``u1`` (weight 1/2)."""
+    p = draw(st.sampled_from((0, 2, 3)))
+    cfg = ValuationConfig(p, (F(1, 2),), 1)
+    axis = draw(st.sampled_from(("t1", "u1")))
+    rank = draw(st.integers(1, 3))
+    coeff = st.sampled_from((1, -1, 2, 3, F(1, 2), F(1, 3), F(-3, 4), F(5, 6)))
+
+    def entry():
+        terms = draw(st.lists(st.tuples(coeff, st.integers(-2, 1), st.integers(-4, 2)),
+                              min_size=0, max_size=3))
+        return sum((cfg.monomial(c, u=(e,), t=(i,)) for c, e, i in terms), cfg.zero())
+
+    N = [[entry() if j >= i else cfg.zero() for j in range(rank)] for i in range(rank)]
+    return DiffModule(cfg, rank, {axis: N}), axis
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangular_modules(), st.sampled_from(FIBERS), st.integers(9, 24), st.booleans())
+def test_iterate_Dn_matches_exact_recursion(case, r, n_max, half):
+    M, axis = case
+    from_n = n_max // 2 if half else 1
+    powers = _exact_powers(M, axis, n_max)
+    want = [(n, _mat_val(powers[n], [r])) for n in range(from_n, n_max + 1)]
+    assert modules._iterate_Dn(M, axis, n_max, [r], from_n) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(triangular_modules(), st.sampled_from(FIBERS), st.data())
+def test_leibniz_bound_on_vectors(case, r, data):
+    """``v(D^k y) >= v(y) + gamma_k``, ``gamma_k = min_j (v(G_j) + (k-j) op + ord_p((k-j)!))``."""
+    M, axis = case
+    cfg = M.config
+    op = cfg.operator_valuation(axis, [r])
+    vals = [_mat_val(G, [r]) for G in _exact_powers(M, axis, 8)]
+    term = st.tuples(st.sampled_from((1, -1, 2, 4, F(1, 2), F(3, 8))), st.integers(-2, 2),
+                     st.integers(-3, 3))
+    y = [sum((cfg.monomial(c, u=(e,), t=(i,)) for c, e, i in terms), cfg.zero())
+         for terms in data.draw(st.lists(st.lists(term, max_size=3), min_size=M.rank,
+                                         max_size=M.rank))]
+    vy = _mat_val([y], [r])
+    for k in range(1, 9):
+        y = apply_connection(M, axis, y)
+        gamma = min(vals[j] + (k - j) * op + _ord_fact(k - j, cfg.p) for j in range(k + 1))
+        assert _mat_val([y], [r]) >= vy + gamma
+
+
+def _count_exact_reruns(monkeypatch):
+    reruns = []
+    inner = modules._iterate_Dn
+
+    def spy(*args, **kw):
+        if kw.get("cutting") is False:
+            reruns.append(args[2])
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(modules, "_iterate_Dn", spy)
+    return reruns
+
+
+@pytest.mark.parametrize("power", [0, 2, 12])
+def test_iterate_Dn_nilpotent_is_exactly_inf(cfg2, monkeypatch, power):
+    # N = [[0, 5 t^power, 1], [0, 0, 3], [0, 0, 0]]: D_n = 0 once t^power is derived away
+    z, t = cfg2.zero(), cfg2.t(1, power)
+    N = [[z, cfg2.scalar(5) * t, cfg2.one()], [z, z, cfg2.scalar(3)], [z, z, z]]
+    reruns = _count_exact_reruns(monkeypatch)
+    vals = iterate_Dn(DiffModule(cfg2, 3, {"t1": N}), "t1", 40, [F(0)])
+    assert reruns == []
+    assert all(v is INF for n, v in vals if n > power + 2)
+    assert vals[power + 1][1] is not INF
+
+
+def _truncation_traps():
+    c = ValuationConfig(2, (), 1)
+    z, t, s = c.zero(), c.t, c.scalar
+    # D_n e_1 = 12 * 11 * ... * (13 - n) t^-n vanishes at n = 13, when only the
+    # constant block 4^n, dropped by the cut until then, is left
+    yield pytest.param(DiffModule(c, 2, {"t1": [[s(12) * t(1, -1), z], [z, s(4)]]}), F(0), 24,
+                       id="vanishing-block")
+    N = [[s(20), z, s(F(1, 2)) * t(1, -2)],
+         [z, s(3) * t(1, -2), s(3) * t(1, -4) + s(F(1, 16)) * t(1, 1)],
+         [z, z, s(F(1, 2)) * t(1, -4) + s(F(3, 8)) * t(1, -3) + s(24) * t(1, 1)]]
+    yield pytest.param(DiffModule(c, 3, {"t1": N}), F(-1), 18, id="dropped-terms-surface")
+
+
+@pytest.mark.parametrize("M, r, n_max", _truncation_traps())
+def test_failed_certificate_reruns_exact(monkeypatch, M, r, n_max):
+    """Cases where the kept part alone gives a wrong ``v(D_n)``: the certificate
+    fails, and the exact rerun gives the reference values."""
+    reruns = _count_exact_reruns(monkeypatch)
+    want = [(n, _mat_val(G, [r])) for n, G in enumerate(_exact_powers(M, "t1", n_max)) if n]
+    assert iterate_Dn(M, "t1", n_max, [r]) == want
+    assert reruns == [n_max]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_companion_certified_without_rerun(monkeypatch, p):
+    cfg = ValuationConfig(p, (), 1)
+    t = cfg.t(1)
+    M = from_companion(twisted_mul(TwistedPoly(cfg, "t1", [-(t ** -2), cfg.one()]),
+                                   TwistedPoly(cfg, "t1", [-(t ** -4), cfg.one()])))
+    reruns = _count_exact_reruns(monkeypatch)
+    assert iterate_Dn(M, "t1", 64, [F(1)]) == [(n, F(-4 * n - 2)) for n in range(1, 65)]
+    est, _ = spectral_valuation_estimate(M, "t1", [F(1)], 256)
+    assert reruns == []
+    assert abs(est - (cfg.omega - visible_radii(M, "t1", [F(1)]).top()[0])) <= F(1, 10)
 
 
 def test_cyclic_rank1(cfg2):

@@ -20,7 +20,8 @@ from annuli import serialize as ser
 from annuli.cli import main
 from annuli.modules import (DiffModule, cyclic_vector, decompose_fiber, from_companion,
                             iterate_Dn, spectral_valuation_estimate)
-from annuli.polyhedral import TRPSet, _slice_report, multidim_profile
+from annuli.polyhedral import (TRPSet, UnimodularMatrix, _slice_report, fiber_to_source,
+                               multidim_profile, unimodular_completion)
 from annuli.profiles import ProfileCell, RadiusProfile, build_radius_profile, verify_variation
 from annuli.twisted import TwistedPoly, robba_factor, twisted_mul, verify_newton_properties
 
@@ -374,10 +375,34 @@ def lib_spectral_companion():
     return "\n".join(lines)
 
 
+def lib_unimodular():
+    """``unimodular_completion`` of primitive directions in dimensions 1-4, each with
+    its signed ``det``, ``inverse`` and ``fiber_to_source`` of two rational points,
+    then the signed ``det`` of integer matrices that are singular or whose
+    determinant is not +-1, a row swap included."""
+    lines = []
+    for d in [(1,), (-1,), (-1, 0), (0, 1), (3, -2), (6, 10, 15), (0, -1, 0), (4, 0, -3),
+              (2, -3, 5, 7), (0, 0, 0, 1), (-5, 0, 3, 0)]:
+        A = unimodular_completion(d)
+        points = [tuple(F(k + 1, 2 + k) for k in range(len(d))),
+                  tuple(F(-3 * k, 5) + 1 for k in range(len(d)))]
+        lines += [f"completion {d}: {A.rows!r} det {A.det()} inverse {A.inverse().rows!r}",
+                  *(f"  fiber_to_source {r!r}: {fiber_to_source(A, r)!r}" for r in points)]
+    for rows in [(), ((0,),), ((2,),), ((-7,),), ((0, 2), (1, 0)), ((2, 1), (1, 3)),
+                 ((1, 2), (2, 4)), ((0, 1), (0, 2)), ((0, 0), (0, 0)),
+                 ((1, 2, 3), (4, 5, 6), (7, 8, 9)), ((1, 2, 3), (0, 4, 5), (1, 0, 6)),
+                 ((1, 2, 3), (2, 4, 7), (0, 1, 1)), ((0, 0, 2), (0, 3, 0), (4, 0, 0)),
+                 ((0, 0, 1, 2), (3, 0, 0, 1), (1, 1, 1, 1), (2, -1, 0, 3)),
+                 ((1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2))]:
+        lines.append(f"det {rows!r}: {UnimodularMatrix(rows).det()}")
+    return "\n".join(lines)
+
+
 LIB_CASES = {f.__name__[4:]: f for f in (
     lib_twist2_charpoly, lib_upper2_charpoly, lib_twist3_p3_charpoly,
     lib_two_variable_charpolys, lib_decompose_fiber, lib_robba_trace, lib_robba_degree3,
     lib_fiber_truncation, lib_verifier_reports, lib_iterate_dn, lib_spectral_companion,
+    lib_unimodular,
 )}
 
 

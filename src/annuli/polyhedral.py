@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 from typing import Callable, List, Optional, Sequence
 
 from .modules import DiffModule, _monomial_pullback
 from .profiles import RadiusProfile, build_radius_profile, decomposition_loci
 from .pwaffine import PiecewiseAffine, _lower_hull, max_of_lines
 from .report import Report, check_convex, check_integral, clause, named
-from .valued import solve
 
 __all__ = [
     "AffineFunctional",
@@ -479,12 +478,19 @@ class UnimodularMatrix:
         return len(self.rows)
 
     def det(self) -> int:
-        try:
-            _, sign, pivots = solve([[Fraction(x) for x in row] for row in self.rows],
-                                    [[] for _ in self.rows])
-        except ZeroDivisionError:
-            return 0
-        return int(prod(pivots, start=Fraction(sign)))
+        """Signed determinant by integer Bareiss: each update is ``//`` the previous pivot."""
+        M, sign, prev, n = [list(r) for r in self.rows], 1, 1, self.n
+        for k in range(n):
+            piv = next((i for i in range(k, n) if M[i][k]), None)
+            if piv is None:
+                return 0
+            if piv != k:
+                M[k], M[piv], sign = M[piv], M[k], -sign
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    M[i][j] = (M[k][k] * M[i][j] - M[i][k] * M[k][j]) // prev
+            prev = M[k][k]
+        return sign * prev
 
     def mul(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
         n = self.n
@@ -498,10 +504,14 @@ class UnimodularMatrix:
         return UnimodularMatrix(tuple(zip(*self.rows)))
 
     def inverse(self) -> "UnimodularMatrix":
-        n = self.n
-        X, _, _ = solve([[Fraction(x) for x in row] for row in self.rows],
-                        [[int(i == j) for j in range(n)] for i in range(n)])
-        return UnimodularMatrix(tuple(tuple(int(x) for x in row) for row in X))
+        """The adjugate times ``det = +-1``: entry ``(i, j)`` is the signed minor ``(j, i)``."""
+        d, rs, n = self.det(), self.rows, self.n
+        if abs(d) != 1:
+            raise ValueError(f"determinant {d} is not +-1")
+        return UnimodularMatrix(tuple(tuple(
+            (-1) ** (i + j) * d * UnimodularMatrix(tuple(
+                r[:i] + r[i + 1:] for k, r in enumerate(rs) if k != j)).det()
+            for j in range(n)) for i in range(n)))
 
     def apply(self, vec: Sequence) -> tuple:
         return tuple(

@@ -36,7 +36,6 @@ __all__ = [
     "LaurentElement",
     "FracElement",
     "gauss_valuation",
-    "solve",
     "solve_fraction_free",
     "derive",
     "valuation_function",
@@ -654,40 +653,6 @@ def gauss_valuation(x, r: Sequence) -> ValuationValue:
     valuation is the zero map and the u-weights carry the valuation.
     """
     return x.gauss_valuation(r)
-
-
-def solve(A, B):
-    """Gauss-Jordan solution of ``A X = B`` over a field (``bool``, ``*``, ``-``, ``1/x``).
-
-    Each column takes the first nonzero pivot, normalises the pivot row and
-    clears every other row.  ``FracElement`` has no canonical form, so this
-    order fixes the stored ``num``/``den`` of the result.  Returns
-    ``(X, sign, pivots)`` with ``det A = sign * prod(pivots)``; raises
-    ``ZeroDivisionError`` when ``A`` is singular.
-
-    Systems over the Laurent ring or its fraction field go through
-    :func:`solve_fraction_free`.  This one serves ``UnimodularMatrix`` over
-    ``Fraction``, where elimination has no common factor to keep out, and the
-    field-side reference in the tests of :func:`solve_fraction_free`.
-    """
-    n = len(A)
-    M = [list(a) + list(b) for a, b in zip(A, B)]
-    sign, pivots = 1, []
-    for col in range(n):
-        piv = next((i for i in range(col, n) if M[i][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            sign = -sign
-        pivots.append(M[col][col])
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for i in range(n):
-            if i != col and M[i][col]:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
-    return [row[n:] for row in M], sign, pivots
 
 
 def solve_fraction_free(A, B):

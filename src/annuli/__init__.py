@@ -15,7 +15,6 @@ from .valued import (
     LaurentElement,
     ValuationConfig,
     gauss_valuation,
-    derive,
     valuation_function,
     is_unit_on_annulus,
 )
@@ -73,8 +72,6 @@ from .polyhedral import (
     small_cone,
     synthetic_oracle,
     toroidal_pullback,
-    trp_interior,
-    trp_membership,
     unimodular_completion,
 )
 

@@ -29,8 +29,6 @@ __all__ = [
     "TRPSet",
     "PolyFunc",
     "UnimodularMatrix",
-    "trp_membership",
-    "trp_interior",
     "angle_cone",
     "small_cone",
     "synthetic_oracle",
@@ -194,14 +192,6 @@ class TRPSet:
                 if all(zc.slope[0] * z[0] + zc.slope[1] * z[1] >= 0 for zc in nontrivial):
                     return False
         return True
-
-
-def trp_membership(C: TRPSet, x) -> bool:
-    return C.contains(x)
-
-
-def trp_interior(C: TRPSet, x) -> bool:
-    return C.strictly_contains(x)
 
 
 def angle_cone(C: TRPSet, x) -> TRPSet:

@@ -37,7 +37,6 @@ __all__ = [
     "FracElement",
     "gauss_valuation",
     "solve_fraction_free",
-    "derive",
     "valuation_function",
     "is_unit_on_annulus",
     "omega_val",
@@ -691,10 +690,6 @@ def solve_fraction_free(A, B):
             (prev * b - sum((row[j] * N[j][c] for j in range(i + 1, n)), 0)).exact_div(row[i])
             for c, b in enumerate(row[n:])]
     return N, prev
-
-
-def derive(x, axis: str):
-    return x.derive(axis)
 
 
 def valuation_function(

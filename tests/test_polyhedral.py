@@ -21,8 +21,6 @@ from annuli import (
     small_cone,
     synthetic_oracle,
     toroidal_pullback,
-    trp_interior,
-    trp_membership,
     unimodular_completion,
     visible_radii,
 )
@@ -43,22 +41,22 @@ SIMPLEX = TRPSet.make(
 
 
 def test_membership_examples():
-    assert trp_membership(UNIT, (F(0), F(0)))
-    assert not trp_interior(UNIT, (F(0), F(0)))
-    assert trp_interior(SIMPLEX, (F(1, 3), F(1, 3)))
-    assert not trp_membership(SIMPLEX, (F(2), F(0)))
+    assert UNIT.contains((F(0), F(0)))
+    assert not UNIT.strictly_contains((F(0), F(0)))
+    assert SIMPLEX.strictly_contains((F(1, 3), F(1, 3)))
+    assert not SIMPLEX.contains((F(2), F(0)))
 
 
 def test_angle_cone_interior_is_everything():
     cone = angle_cone(UNIT, (F(1, 2), F(1, 2)))
     assert cone.constraints == ()
-    assert trp_membership(cone, (F(100), F(-100)))
+    assert cone.contains((F(100), F(-100)))
 
 
 def test_angle_cone_corner():
     cone = angle_cone(UNIT, (F(0), F(0)))
-    assert trp_membership(cone, (F(1), F(2)))
-    assert not trp_membership(cone, (F(-1), F(1)))
+    assert cone.contains((F(1), F(2)))
+    assert not cone.contains((F(-1), F(1)))
 
 
 def test_angle_cone_requires_membership():
@@ -68,9 +66,9 @@ def test_angle_cone_requires_membership():
 
 def test_small_cone_of_simplex_is_origin():
     cone = small_cone(SIMPLEX)
-    assert trp_membership(cone, (F(0), F(0)))
+    assert cone.contains((F(0), F(0)))
     for z in ((1, 0), (0, 1), (1, 1), (-1, 2)):
-        assert not trp_membership(cone, z)
+        assert not cone.contains(z)
 
 
 def test_small_cone_inside_angle_cone():
@@ -80,8 +78,8 @@ def test_small_cone_inside_angle_cone():
     x = (F(0), F(1))
     sc, ac = small_cone(C), angle_cone(C, x)
     for z in ((0, 1), (1, 0), (2, 3), (0, -1), (-1, 0)):
-        if trp_membership(sc, z):
-            assert trp_membership(ac, z)
+        if sc.contains(z):
+            assert ac.contains(z)
 
 
 def test_compactness():
@@ -117,7 +115,7 @@ def test_reconstruct_transintegral_constant():
     rng = random.Random(1)
     for _ in range(50):
         x = (F(rng.randint(0, 8), 16), F(rng.randint(0, 8), 16))
-        if trp_membership(SIMPLEX, x):
+        if SIMPLEX.contains(x):
             assert got(x) == g(x)
 
 

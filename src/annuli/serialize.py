@@ -14,7 +14,7 @@ from .modules import DiffModule, RadiiMultiset
 from .polyhedral import AffineFunctional, PolyFunc, TRPSet
 from .profiles import ProfileCell, RadiusProfile
 from .twisted import NewtonPolygon, TwistedPoly
-from .valued import LaurentElement, ValuationConfig
+from .valued import LaurentElement, ValuationConfig, _is_prime
 
 __all__ = [
     "frac_str",
@@ -231,11 +231,13 @@ def profile_from_obj(obj: dict) -> RadiusProfile:
             _int(c.get("capped", 0), f"{at}.capped"),
             tuple(_fracs(c.get("cap", [0, 0]), f"{at}.cap", 2)),
         ))
-    weight = obj.get("axis_weight")
+    weight, p = obj.get("axis_weight"), _int(obj.get("p"), "p")
+    if p != 0 and not _is_prime(p):
+        raise ValueError(f"p: expected 0 or a prime, got {p}")
     return RadiusProfile(
         _expect(obj.get("axis"), str, "axis", "an axis name"),
         _expect(obj.get("kind"), str, "kind", "a string"),
-        _int(obj.get("p"), "p"),
+        p,
         _int(obj.get("rank"), "rank"),
         tuple(_fracs(obj.get("window"), "window", 2)),
         tuple(cells),

@@ -410,6 +410,8 @@ PROFILE_OBJ = {"axis": "t1", "kind": "extrinsic", "p": 2, "rank": 1, "window": [
                "cells": [{"lo": "0", "hi": "1", "visible": [["0"]], "capped": 0, "cap": ["0", "1"]}]}
 ROBBA_OBJ = json.loads((Path(__file__).resolve().parent / "golden" / "inputs" / "poly_robba.json")
                        .read_text(encoding="utf-8"))
+BAD_PROFILE_OBJ = json.loads((Path(__file__).resolve().parent / "golden" / "inputs"
+                              / "bad_profile.json").read_text(encoding="utf-8"))
 FACTOR_ARGV = ["factor", "--fiber", "1", "--split", "5/2", "--precision", "4"]
 
 
@@ -437,11 +439,15 @@ FACTOR_ARGV = ["factor", "--fiber", "1", "--split", "5/2", "--precision", "4"]
          "functionals[0].slope: expected a list of 2 integers"),
         (FACTOR_ARGV + ["--budget", "0"], ROBBA_OBJ, "budget must be at least 1"),
         (FACTOR_ARGV + ["--budget", "-1"], ROBBA_OBJ, "budget must be at least 1"),
+        (["verify"], dict(BAD_PROFILE_OBJ, axis="u1", p=1), "p: expected 0 or a prime, got 1"),
+        (["verify", "--mode", "disc"], dict(BAD_PROFILE_OBJ, axis="u1", p=1),
+         "p: expected 0 or a prime, got 1"),
     ],
     ids=["frobenius_p_list", "fractional_multiplicity", "polyhedral_no_domain",
          "polyhedral_level_string", "profile_visible_single", "loci_no_direction",
          "intrinsic_no_derivations", "negative_multiplicity", "polyfunc_mixed_dims",
-         "polyfunc_wrong_dim", "factor_budget_zero", "factor_budget_negative"],
+         "polyfunc_wrong_dim", "factor_budget_zero", "factor_budget_negative",
+         "profile_p1_base_axis", "profile_p1_base_axis_disc"],
 )
 def test_bad_reader_input_exits_1_naming_it(tmp_path, capsys, argv, obj, named):
     path = write(tmp_path, "in.json", obj)

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annuli import (
@@ -276,6 +278,59 @@ def test_unimodular_completion_dim3():
         assert abs(A.det()) == 1
     with pytest.raises(ValueError):
         unimodular_completion((2, 4))
+
+
+def _leibniz_det(rows):
+    """Sum over permutations of the permutation's sign times the chosen entries."""
+    n = len(rows)
+    return sum((-1) ** sum(s[i] > s[j] for i in range(n) for j in range(i + 1, n))
+               * prod(rows[i][s[i]] for i in range(n)) for s in permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 4).flatmap(lambda n: st.lists(
+           st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)),
+       k=st.one_of(st.none(), st.integers(-1, 1)))
+@example(rows=[[0, 2], [1, 0]], k=None)
+@example(rows=[[1, 2, 3], [2, 4, 7], [0, 1, 1]], k=None)
+def test_det_is_the_leibniz_sum(rows, k):
+    if k is not None and rows:  # singular: the last row k times the first, or zero
+        rows[-1] = [k * x for x in rows[0]]
+    assert UnimodularMatrix(tuple(map(tuple, rows))).det() == _leibniz_det(rows)
+
+
+@st.composite
+def _elementary_products(draw):
+    """A product of elementary integer matrices: row additions, swaps and negations."""
+    n = draw(st.integers(1, 4))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 10))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            q = draw(st.integers(-3, 3))
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+        elif op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "negate":
+            rows[i] = [-a for a in rows[i]]
+    return UnimodularMatrix(tuple(map(tuple, rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(A=_elementary_products())
+def test_inverse_is_two_sided(A):
+    identity = UnimodularMatrix.identity(A.n)
+    assert A.mul(A.inverse()) == identity and A.inverse().mul(A) == identity
+
+
+@pytest.mark.parametrize("rows, det", [([[0, 2], [1, 0]], -2), ([[2, 1], [1, 3]], 5),
+                                       ([[1, 2], [2, 4]], 0), ([[-3]], -3)])
+def test_make_and_inverse_name_the_signed_determinant(rows, det):
+    with pytest.raises(ValueError, match=f"^determinant {det} is not"):
+        UnimodularMatrix.make(rows)
+    with pytest.raises(ValueError, match=f"^determinant {det} is not"):
+        UnimodularMatrix(tuple(map(tuple, rows))).inverse()
 
 
 def _bimonomial(cfg, a, b):

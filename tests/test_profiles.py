@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from annuli import (
     DiffModule,
@@ -10,12 +12,15 @@ from annuli import (
     build_radius_profile,
     decomposition_loci,
     direct_sum,
+    from_companion,
     rank_one,
     swan_breaks,
     verify_variation,
     visible_radii,
 )
 from annuli.profiles import ProfileCell
+from annuli.report import PASS
+from annuli.twisted import TwistedPoly
 
 F = Fraction
 
@@ -220,6 +225,44 @@ def test_swan_integrality_violation_reported():
     prof = make_profile("intrinsic", "intrinsic", 2, 1, [(0, 1, [(F(1, 2), 0)])])
     out = swan_breaks(prof)
     assert not out.report.passed
+
+
+def _formal_slopes(points):
+    """Slopes of the lower convex hull of ``(i, y_i)``, largest first, each repeated
+    once per unit of width; a slope at or below 0 reads as 0."""
+    hull = []
+    for q in sorted(points):
+        while len(hull) >= 2 and ((hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0])
+                                  >= (q[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append(q)
+    slopes = [max(F(b[1] - a[1], b[0] - a[0]), F(0)) for a, b in zip(hull, hull[1:])
+              for _ in range(b[0] - a[0])]
+    return sorted(slopes, reverse=True)
+
+
+_laurent_terms = st.dictionaries(st.integers(-6, 1),
+                                 st.sampled_from([-2, -1, F(-1, 2), F(1, 3), 1, F(3, 2), 2]),
+                                 max_size=3)
+
+
+# a_0, ..., a_{d-1} of a monic operator of degree d <= 3: a_0 nonzero, the others maybe zero
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.integers(1, 3).flatmap(lambda d: st.tuples(
+    _laurent_terms.filter(bool), *[_laurent_terms] * (d - 1))))
+@example(coeffs=({-6: 1, -5: 4}, {-4: -1, -2: -1}))  # (T - t^-2)(T - t^-4): breaks 3, 1
+@example(coeffs=({-3: -1}, {}))  # T^2 - t^-3: 1/2 twice
+@example(coeffs=({-4: -1}, {}, {}))  # T^3 - t^-4: 1/3 three times
+def test_swan_breaks_at_p0_are_the_formal_slopes(coeffs):
+    """At p = 0 the breaks of the companion module of a monic ``sum a_i T^i`` are the
+    slopes of the lower hull of ``(i, ord_t(a_i) - i)`` (Malgrange's irregularity)."""
+    c = ValuationConfig(0, (), 1)
+    P = TwistedPoly(c, "t1", [sum((c.scalar(F(v)) * c.t(1, e) for e, v in a.items()), c.zero())
+                              for a in coeffs] + [c.one()])
+    out = swan_breaks(build_radius_profile(from_companion(P), "intrinsic", "t1", (F(0), F(1))))
+    points = [(i, min(a) - i) for i, a in enumerate(coeffs) if a] + [(len(coeffs), -len(coeffs))]
+    assert [b for b, m in out.breaks for _ in range(m)] == _formal_slopes(points)
+    assert [r.status for r in out.report.by_name("break integrality")] == [PASS]
 
 
 def test_decomposition_loci_maximal(cfg2):

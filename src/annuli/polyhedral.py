@@ -468,7 +468,7 @@ class UnimodularMatrix:
         return len(self.rows)
 
     def det(self) -> int:
-        """Signed determinant by integer Bareiss: each update is ``//`` the previous pivot."""
+        """Signed determinant by integer Bareiss: updates divide exactly by the previous pivot."""
         M, sign, prev, n = [list(r) for r in self.rows], 1, 1, self.n
         for k in range(n):
             piv = next((i for i in range(k, n) if M[i][k]), None)

@@ -29,6 +29,8 @@ from .twisted import (
     NonConvergence,
     TwistedPoly,
     _laurent_approx,
+    _laurent_quotients,
+    _working_cut,
     newton_polygon,
     opposite,
     robba_factor,
@@ -94,10 +96,12 @@ def _identity(cfg: ValuationConfig, d: int):
     return [[cfg.one() if i == j else cfg.zero() for j in range(d)] for i in range(d)]
 
 
-def _inverse(A, cfg: ValuationConfig):
-    """Exact inverse as fractions over one determinant; ``ZeroDivisionError`` if singular."""
-    N, delta = solve_fraction_free(A, _identity(cfg, len(A)))
-    return [[FracElement(n, delta) for n in row] for row in N]
+def _inverse(A, r: Sequence, cut):
+    """``N / delta`` by one Bareiss solve, with ``1/delta`` expanded once at the fiber
+    (:func:`twisted._laurent_quotients`); ``ZeroDivisionError`` if ``A`` is singular."""
+    N, delta = solve_fraction_free(A, _identity(A[0][0].config, len(A)))
+    flat = iter(_laurent_quotients([n for row in N for n in row], delta, r, cut))
+    return [[next(flat) for _ in row] for row in N]
 
 
 # -- the module type ----------------------------------------------------------
@@ -510,7 +514,7 @@ def _monomial_pullback(M: DiffModule, rows) -> DiffModule:
 
 def _coords_mod(P: TwistedPoly, Q: TwistedPoly, power: int) -> list:
     """Coefficient vector of ``T^power * Q mod P`` in the cyclic basis."""
-    lifted = Q.monomial_times(FracElement(Q.config.one()), power, Q)
+    lifted = Q.monomial_times(Q.config.one(), power, Q)
     _, rem = lifted.rdivmod(P)
     d = P.degree
     return [rem.coeff(i) for i in range(d)]
@@ -535,7 +539,9 @@ def decompose_fiber(M: DiffModule, axis: str, r: Sequence, precision) -> list:
     there and is certified ``>= precision`` (escalating the working
     precision if a first pass falls short).  If the last escalation still
     falls short, raises :class:`NonConvergence` with the uncertified parts
-    as ``factors`` and the least residual as ``residual``.
+    as ``factors`` and the least residual as ``residual``.  The charpoly
+    ``n_i / delta`` is expanded once; every later step is Laurent arithmetic
+    cut at :func:`twisted._working_cut`.
     """
     precision = Fraction(precision)
     for extra in (0, 8, 24):
@@ -561,15 +567,19 @@ def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extr
     bounds = [v - cfg.omega for v, _, _ in parts]
     splits = [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
 
-    work_prec = precision + d + 4 + extra
-    span = max(Fraction(0), -2 * P.min_valuation(r))
-    cut = work_prec + span + 8 + extra
-
     basis_cols = [vec]
     for _ in range(d - 1):
         basis_cols.append(apply_connection(M, axis, basis_cols[-1]))
-    W = _approx_mat([[basis_cols[j][i] for j in range(d)] for i in range(d)], r, cut)
-    Winv = _inverse(W, cfg)
+    W = [[basis_cols[j][i] for j in range(d)] for i in range(d)]
+    # Pi = W Pi_cyc W^-1 loses -v(W); without it, horizontality failed by 2 (rank 3, r = 2)
+    work_prec = precision + d + 4 + extra
+    loss = max(Fraction(0), -min(x.gauss_valuation(r) for row in W for x in row if x))
+    cut = _working_cut(P, r, work_prec + loss) + extra
+    den = next(c.den for c in P.coeffs if c)  # each n_i / delta up to a unit monomial
+    P = P._clone(_laurent_quotients([c.num * den.exact_div(c.den) for c in P.coeffs[:-1]],
+                                    den, r, cut) + [cfg.one()])
+    W = _approx_mat(W, r, cut)
+    Winv = _inverse(W, r, cut)
 
     high_projectors = []
     Pop = opposite(P)
@@ -584,7 +594,7 @@ def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extr
         for i in range(d - k):
             cols.append(_coords_mod(P, Ahat, i))
         U = _approx_mat([[cols[j][i] for j in range(d)] for i in range(d)], r, cut)
-        Uinv = _inverse(U, cfg)
+        Uinv = _inverse(U, r, cut)
         sel = [[U[i][j] if j >= k else cfg.zero() for j in range(d)] for i in range(d)]
         Pi_cyc = _approx_mat(mat_mul(sel, Uinv), r, cut)
         Pi = _approx_mat(mat_mul(_approx_mat(mat_mul(W, Pi_cyc), r, cut), Winv), r, cut)

@@ -322,37 +322,46 @@ def slope_functions(P: TwistedPoly, axis: str, window, frozen: Sequence = ()) ->
     return SlopeFunctions(fs, Fs, (lo, hi))
 
 
-def _laurent_approx(x, r: Sequence, cut):
-    """A Laurent polynomial within Gauss valuation ``cut`` of ``x`` at ``r``, or ``x``.
+def _working_cut(P: TwistedPoly, r: Sequence, precision) -> Fraction:
+    """Where the fiber layer cuts its series: ``precision + max(0, -v) + 4``, ``v`` the least
+    coefficient valuation of ``P`` at ``r``.  A term of ``B`` dropped there reaches ``E = P - A B``
+    only through ``A eps``, and ``A`` (polygon: the low piece of ``P``'s, ending at 0) has no
+    coefficient below ``v``; ``E``, formed exactly, stays the certificate.  On the Robba goldens
+    ``precision + max(0, -2v) + 8`` gave the same traces; a pad of 0 changed three."""
+    return precision + max(Fraction(0), -P.min_valuation(r)) + 4
 
-    A Laurent ``x`` is truncated at ``cut``.  A fraction expands its
-    denominator against the strictly dominant term at the fiber; when no term
-    dominates, ``x`` itself comes back, exact, and the caller keeps that one
-    entry as a fraction for the round.  Terms beyond ``cut`` (beyond the working
-    cut of the series) are dropped inside each product of the expansion
-    (:meth:`LaurentElement.truncated_mul`), so they are never formed.
-    """
-    if isinstance(x, LaurentElement):
-        return x.truncate(r, cut)
-    num, den = x.num, x.den
-    if len(den.terms) == 1:  # a zero fraction has den 1
-        return num.truncated_mul(den ** -1, r, cut)
+
+def _laurent_quotients(nums: Sequence, den: LaurentElement, r: Sequence, cut) -> list:
+    """Each ``n / den`` within Gauss valuation ``cut`` at ``r``: ``1/den`` is expanded once
+    against the strictly dominant term of ``den``, as far as the least numerator needs,
+    and multiplied in by :meth:`LaurentElement.truncated_mul`.  When no term dominates,
+    the exact fractions ``n / den`` come back."""
+    if len(den.terms) == 1:
+        return [n.truncated_mul(den ** -1, r, cut) for n in nums]
     D, vals = _valued_terms(den.config, den.terms, r)
     (v0, key0, c0), (v1, _, _) = sorted(vals)[:2]
     if v1 == v0:
-        return x
+        return [FracElement(n, den) for n in nums]
     gap, v0 = Fraction(v1 - v0, D), Fraction(v0, D)
-    m0 = LaurentElement(den.config, {key0: c0})
-    m0inv = m0 ** -1
-    neg_u = -((den - m0) * m0inv)  # valuation gap > 0 at r
-    vnum = num.gauss_valuation(r)
+    m0inv = LaurentElement(den.config, {key0: c0}) ** -1
+    neg_u = den.config.one() - den * m0inv  # valuation gap > 0 at r
+    vnum = min((n.gauss_valuation(r) for n in nums if n), default=cut + v0)
     need = cut - (vnum - v0)
     terms = 0 if need <= 0 else int(need / gap) + 1
     inv = acc = den.config.one()
     for _ in range(terms):
         acc = neg_u.truncated_mul(acc, r, cut + max(Fraction(0), -vnum) + abs(v0) + 2)
         inv = inv + acc
-    return (num * m0inv).truncated_mul(inv, r, cut)
+    return [(n * m0inv).truncated_mul(inv, r, cut) for n in nums]
+
+
+def _laurent_approx(x, r: Sequence, cut):
+    """``x`` truncated at ``cut`` if Laurent, else expanded by :func:`_laurent_quotients`;
+    a fraction without a dominant denominator term comes back itself, exact."""
+    if isinstance(x, LaurentElement):
+        return x.truncate(r, cut)
+    (y,) = _laurent_quotients([x.num], x.den, r, cut)
+    return y if isinstance(y, LaurentElement) else x
 
 
 def robba_factor(
@@ -373,11 +382,10 @@ def robba_factor(
     Starting from the polygon initializer, each step divides ``P = A B + E``
     on the right, solves the correction ``sum_j dB_j (A T^j mod B) = E``
     exactly by one Bareiss elimination (:func:`valued.solve_fraction_free`,
-    which clears any fraction rows), adds each ``dB_j = n_j / delta`` to ``B``
-    and re-polynomializes each new coefficient against the working fiber with
-    ``_laurent_approx``, whose truncated products drop the terms beyond the
-    working cut as they form (one without a dominant denominator term stays an
-    exact fraction for that round); only ``B`` is corrected.
+    which clears any fraction rows), and adds each ``n_j (1/delta)`` to ``B``
+    with ``1/delta`` expanded once (:func:`_laurent_quotients`): the terms
+    beyond the working cut (:func:`_working_cut`) drop as they form.  Only
+    ``B`` is corrected; the residual is formed exactly.
     The system treats the unknowns ``dB_j`` as commuting with ``A``.  That is
     the exact linearization for untwisted input, where the residual doubles
     per step (measured 1, 2, 4, ..., 64 on constant products at p = 3).  For
@@ -417,7 +425,7 @@ def robba_factor(
 
     cfg = P.config
     e = d - k
-    cut = precision + max(Fraction(0), -2 * P.min_valuation(r)) + 8
+    cut = _working_cut(P, r, precision)
 
     B = P._clone(list(P.coeffs[k:]))
     best = None
@@ -437,8 +445,8 @@ def robba_factor(
             N, delta = solve_fraction_free(M, [[E.coeff(i)] for i in range(e)])
         except ZeroDivisionError:
             raise NonConvergence("singular correction system") from None
-        B = P._clone([_laurent_approx(B.coeff(i) + FracElement(n, delta), r, cut)
-                      for i, (n,) in enumerate(N)] + [cfg.one()])
+        dB = _laurent_quotients([n for n, in N], delta, r, cut)
+        B = P._clone([_laurent_approx(b + x, r, cut) for b, x in zip(B.coeffs, dB)] + [cfg.one()])
     raise NonConvergence(
         f"no convergence within {budget} iterations (best residual {best[2]})",
         factors=(best[0], best[1]),

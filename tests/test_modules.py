@@ -9,6 +9,7 @@ from annuli import (
     INF,
     DiffModule,
     FracElement,
+    LaurentElement,
     TwistedPoly,
     ValuationConfig,
     apply_connection,
@@ -28,6 +29,7 @@ from annuli import (
 from annuli import modules
 from annuli.modules import RadiiMultiset, mat_mul
 from annuli.twisted import NonConvergence, twisted_mul
+from annuli.valued import solve_fraction_free
 
 F = Fraction
 
@@ -498,13 +500,28 @@ def test_tame_intrinsic_invariance(cfg3):
 
 def test_inverse_clears_fraction_rows(cfg2):
     """A row with fraction entries (``_laurent_approx`` without a dominant term) inverts
-    exactly: ``solve_fraction_free`` clears the row of ``[A | I]`` by its denominators."""
+    exactly: ``solve_fraction_free`` clears the row of ``[A | I]`` by its denominators.
+    Here the determinant ``-t - t^2`` has no dominant term at r = 0, so the inverse
+    comes back as exact fractions."""
     t, one = cfg2.t(1), cfg2.one()
     A = [[FracElement(one, one + t), FracElement(t, one - t)], [t ** -1, one + t]]
-    inv = modules._inverse(A, cfg2)
+    inv = modules._inverse(A, [F(0)], F(10))
     assert mat_mul(A, inv) == [[one, cfg2.zero()], [cfg2.zero(), one]]
     with pytest.raises(ZeroDivisionError):
-        modules._inverse([[FracElement(one, one + t), one], [one, one + t]], cfg2)
+        modules._inverse([[FracElement(one, one + t), one], [one, one + t]], [F(0)], F(10))
+
+
+def test_inverse_expands_a_dominant_determinant_within_the_cut(cfg2):
+    """With a dominant determinant term, every entry is Laurent and differs from the
+    exact ``N / delta`` only beyond the cut."""
+    t, one = cfg2.t(1), cfg2.one()
+    A = [[one + t, t ** -1], [2 * t, one]]  # delta = -1 - t: -1 dominates at r = 1
+    inv = modules._inverse(A, [F(1)], F(10))
+    N, delta = solve_fraction_free(A, [[one, cfg2.zero()], [cfg2.zero(), one]])
+    for row, nrow in zip(inv, N):
+        for x, n in zip(row, nrow):
+            assert isinstance(x, LaurentElement)
+            assert (FracElement(n, delta) - x).gauss_valuation([F(1)]) > 10
 
 
 def test_decompose_two_visible(cfg2):

@@ -22,6 +22,7 @@ operations are pure and values are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, isqrt, lcm, prod
 from operator import add, itemgetter, mul, sub
 from typing import Mapping, Sequence, Union
@@ -440,7 +441,7 @@ class LaurentElement:
         cfg = self.config
         if not self.terms or not other.terms:
             return LaurentElement._trusted(cfg, {})
-        D, part = _fiber_scale(cfg, r)
+        D, part = _fiber_scale(cfg, tuple(r))
         (L1, xs), (L2, ys) = (_int_terms(x.terms) for x in (self, other))
         xs, ys = (sorted(((part(k), k, n) for k, n in zs), key=itemgetter(0)) for zs in (xs, ys))
         L = L1 * L2
@@ -474,9 +475,10 @@ def _int_terms(terms: dict):
     return L, [(k, c.numerator * (L // c.denominator)) for k, c in terms.items()]
 
 
-def _fiber_scale(cfg: ValuationConfig, r: Sequence):
-    """``(D, part)``: ``D`` the lcm of the denominators of ``r`` and the u-weights, and
-    ``part(key)`` the integer exponent part ``e.(D w) + i.(D r)`` of a key ``(e, i)``."""
+@lru_cache(maxsize=256)
+def _fiber_scale(cfg: ValuationConfig, r: tuple):
+    """``(D, part)``, built once per configuration and fiber (a tuple): ``D`` the lcm of the
+    denominators of ``r`` and the u-weights, ``part((e, i))`` the integer ``e.(D w) + i.(D r)``."""
     r = [Fraction(q) for q in r]
     D = lcm(*(q.denominator for q in (*cfg.u_weights, *r)))
     dw, dr = ([q.numerator * (D // q.denominator) for q in qs] for qs in (cfg.u_weights, r))
@@ -494,7 +496,7 @@ def _valued_terms(cfg: ValuationConfig, terms: dict, r: Sequence, cut=None, leas
     ``least`` lowers the cut below each value kept, so the last is the least.
     """
     p = cfg.p
-    D, part = _fiber_scale(cfg, r)
+    D, part = _fiber_scale(cfg, tuple(r))
     low = D * _ord_int(lcm(*(c.denominator for c in terms.values())), p) if p else 0
     cut = None if cut is None else floor(cut * D)
     out = []

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from annuli import (
     INF,
@@ -336,3 +339,83 @@ def test_laurent_approx_keeps_a_fraction_without_dominant_term(cfg2):
     one = cfg2.one()
     x = FracElement(one, one + cfg2.t(1))
     assert _laurent_approx(x, [F(0)], F(10)) is x
+
+
+# -- robba_factor at the working cut ------------------------------------------------
+
+
+def _ref_ordp(c, p):
+    if p == 0:
+        return 0
+    c, v = Fraction(c), 0
+    n, d = c.numerator, c.denominator
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+def _ref_valuation(coeffs, p, r):
+    """Least ``ord_p(c) + i r`` over the terms ``c t^i`` of the coefficients; INF if none."""
+    return min((_ref_ordp(c, p) + i[0] * r for x in coeffs for (_, i), c in x.terms.items()),
+               default=INF)
+
+
+def _ref_product(A, B):
+    """``A * B`` in the twisted ring, one ``T`` at a time: ``T * sum b_j T^j`` is
+    ``sum b_j T^(j+1) + d(b_j) T^j``."""
+    zero = A.config.zero()
+    out = [zero] * (len(A.coeffs) + len(B.coeffs) - 1)
+    cur = list(B.coeffs)
+    for a in A.coeffs:
+        for j, b in enumerate(cur):
+            out[j] = out[j] + a * b
+        nxt = [zero] * (len(cur) + 1)
+        for j, b in enumerate(cur):
+            nxt[j + 1] = nxt[j + 1] + b
+            nxt[j] = nxt[j] + b.derive(A.axis)
+        cur = nxt
+    return out
+
+
+@st.composite
+def linear_products(draw):
+    """``(T - c_1 t^-k_1)...(T - c_m t^-k_m)`` at r = 1, m = 2 or 3, with ``k`` in 2..5 and
+    ``c = ±1``, divided by ``p`` when drawn at ``p > 0``.  Each slope ``k - v(c)`` is at
+    least 2, so visible.  The split falls between two distinct slopes."""
+    p = draw(st.sampled_from((0, 2, 3)))
+    cfg = ValuationConfig(p, (), 1)
+    factors = []
+    for _ in range(draw(st.integers(2, 3))):
+        c = Fraction(draw(st.sampled_from((1, -1))))
+        if p and draw(st.booleans()):
+            c /= p
+        factors.append((c, draw(st.integers(2, 5))))
+    slopes = sorted({k - _ref_ordp(c, p) for c, k in factors})
+    assume(len(slopes) > 1)
+    gap = draw(st.integers(0, len(slopes) - 2))
+    polys = [P(cfg, -cfg.scalar(c) * cfg.t(1, -k), cfg.one()) for c, k in factors]
+    return reduce(twisted_mul, polys), (slopes[gap] + slopes[gap + 1]) / 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(linear_products(), st.sampled_from((F(2), F(4), F(8))))
+def test_robba_converges_at_the_working_cut(product, precision):
+    """Products of linear twisted factors split at a visible gap: the residual reaches the
+    precision, and ``P - Q_low Q_high``, recomputed here, agrees with it."""
+    poly, split = product
+    qlo, qhi, res = robba_factor(poly, [F(1)], split, precision)
+    assert res >= precision
+    diff = [a - b for a, b in zip(poly.coeffs, _ref_product(qlo, qhi))]
+    assert _ref_valuation(diff, poly.config.p, 1) == res
+
+
+def test_robba_two_variable_trace():
+    """``(T - t^-2)(T - t^-3)(T - u^-1 t^-3)`` with ``u`` of weight 1, p = 2, r = 1."""
+    cfg = ValuationConfig(2, (F(1),), 1)
+    t, u = cfg.t(1), cfg.u(1)
+    poly = reduce(twisted_mul, (P(cfg, -a, cfg.one()) for a in (t ** -2, t ** -3, u ** -1 * t ** -3)))
+    trace = []
+    robba_factor(poly, [F(1)], F(5, 2), F(2), trace=trace)
+    assert trace == [-9, -8, -6, -3, 0, 2]

@@ -345,7 +345,7 @@ def _laurent_quotients(nums: Sequence, den: LaurentElement, r: Sequence, cut) ->
     gap, v0 = Fraction(v1 - v0, D), Fraction(v0, D)
     m0inv = LaurentElement(den.config, {key0: c0}) ** -1
     neg_u = den.config.one() - den * m0inv  # valuation gap > 0 at r
-    vnum = min((n.gauss_valuation(r) for n in nums if n), default=cut + v0)
+    vnum = min((n.gauss_valuation(r) for n in nums if n), default=cut + v0)  # all zero: no terms
     need = cut - (vnum - v0)
     terms = 0 if need <= 0 else int(need / gap) + 1
     inv = acc = den.config.one()

@@ -40,7 +40,9 @@ from .valued import (
     FracElement,
     LaurentElement,
     ValuationConfig,
+    _fiber_scale,
     _ord_int,
+    _valued_terms,
     solve_fraction_free,
 )
 
@@ -205,14 +207,13 @@ def from_companion(P: TwistedPoly) -> DiffModule:
 
 
 def apply_connection(M: DiffModule, axis: str, vec: Sequence) -> list:
-    """Exact ``d(vec) + N vec`` on a coordinate vector."""
+    """Exact ``d(vec) + N vec`` on a coordinate vector: entry ``i`` is ``d(vec[i])``
+    plus the products ``N[i][j] vec[j]`` whose two factors are nonzero."""
     if len(vec) != M.rank:
         raise ValueError("vector length mismatch")
-    N = M.matrix(axis)
-    return [
-        x.derive(axis) + sum((N[i][j] * vec[j] for j in range(1, len(vec))), N[i][0] * vec[0])
-        for i, x in enumerate(vec)
-    ]
+    live = [(j, y) for j, y in enumerate(vec) if y]
+    return [sum((row[j] * y for j, y in live if row[j]), x.derive(axis) if x else x)
+            for x, row in zip(vec, M.matrix(axis))]
 
 
 def iterate_Dn(M: DiffModule, axis: str, n_max: int, r: Sequence) -> list:
@@ -223,7 +224,8 @@ def iterate_Dn(M: DiffModule, axis: str, n_max: int, r: Sequence) -> list:
     ``[(n, min entry valuation at r)]`` for ``n = 1..n_max``.  Every value is
     exact: after the first steps ``D_n`` is carried truncated at the fiber, and
     each value is certified against an exact lower bound on what was dropped,
-    or comes from an exact rerun (:func:`_iterate_Dn`).
+    or comes from an exact rerun (:func:`_iterate_Dn`).  ``ValueError`` unless
+    ``r`` has one entry per geometric variable.
     """
     return _iterate_Dn(M, axis, n_max, r, from_n=1)
 
@@ -238,41 +240,55 @@ def _iterate_Dn(M: DiffModule, axis: str, n_max: int, r: Sequence, from_n: int,
     with ``gamma_k = min_{j<=k} (v(G_j) + (k-j) op + ord_p((k-j)!))``.  The first
     ``b = 8`` steps run exact and give ``gamma_1..gamma_b``.  Later ``D_n`` are
     truncated by Gauss valuation at ``r``, a margin above their least valuation
-    (one cut for p-adic precision and t-degree).  The error ``E_m``, exact minus
-    kept, is ``D^b E_{m-b} + sum_{m-b<n<=m} D^{m-n} y_n`` with ``y_n`` the part
-    dropped at step ``n``, of valuation above its cut ``c_n``; so ``v(E_m) >=
-    err_m = min(err_{m-b} + gamma_b, min_n (c_n + gamma_{m-n}))``.  ``v(D_m)`` is
-    certified when the kept least valuation is below ``err_m``.  When it is not,
-    or the kept part is zero under a finite bound, the loop reruns with no cut.
+    (one cut for p-adic precision and t-degree), column by column: each column is
+    first cut at its own least valuation plus the margin, which only keeps more.
+    The error ``E_m``, exact minus kept, is ``D^b E_{m-b} + sum_{m-b<n<=m} D^{m-n}
+    y_n`` with ``y_n`` the part dropped at step ``n``, of valuation at least ``c_n``;
+    so ``v(E_m) >= err_m = min(err_{m-b} + gamma_b, min_n (c_n + gamma_{m-n}))``.
+    ``v(D_m)`` is certified when the kept least valuation is below ``err_m``.  When
+    it is not, or the kept part is zero under a finite bound, the loop reruns with
+    no cut.  Valuations are integers on the fiber's scale ``D``
+    (:func:`valued._fiber_scale`): each nonzero entry is valued once a step by
+    :func:`valued._valued_terms` and cut from that list at ``floor(cut D)``, so on
+    that scale ``c_n = floor(cut D) + 1``.  Zero entries are skipped; values return
+    as ``Fraction(v, D)``.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    r = tuple(Fraction(x) for x in r)
-    b, p, op = 8, M.config.p, M.config.operator_valuation(axis, r)
+    cfg, b, r = M.config, 8, tuple(Fraction(x) for x in r)
+    D = _fiber_scale(cfg, r)[0]
+    op = int(cfg.operator_valuation(axis, r) * D)
+    fact = [D * _ord_int(factorial(k), cfg.p) if cfg.p else 0 for k in range(b + 1)]
     cols = [list(col) for col in zip(*M.matrix(axis))]
-    vals, gamma, errs, cuts = [Fraction(0)], [Fraction(0)], [INF], {}
-    out = []
+    vals, gamma, errs, cuts, out = [0], [0], [INF], {}, []
     for n in range(1, n_max + 1):
-        v = min((x.gauss_valuation(r) for col in cols for x in col if x), default=INF)
-        if n <= b:
-            vals.append(v)
-            gamma.append(min(vj + (n - j) * op + (_ord_int(factorial(n - j), p) if p else 0)
-                             for j, vj in enumerate(vals)))
-        elif cutting and v is not INF:
+        if not (cutting and n > b and vals[b] is not INF):
+            v = min((_valued_terms(cfg, x.terms, r, least=True)[1][-1][0]
+                     for col in cols for x in col if x), default=INF)
+        else:
             # the bound falls by gamma_b per b steps and D_n by the prefix's mean
             # slope: the margin keeps that gap for the steps still to come
-            gap = max(Fraction(0), (vals[b] - vals[1]) / (b - 1) - gamma[b] / b)
-            cut = v + 4 + (n_max - n) * gap
-            kept = [[x.truncate(r, cut) for x in col] for col in cols]
-            if any(len(x.terms) < len(y.terms) for a, c in zip(kept, cols) for x, y in zip(a, c)):
-                cuts[n] = cut
-            cols = kept
+            slack = 4 * D + (n_max - n) * max(0, b * (vals[b] - vals[1]) - (b - 1) * gamma[b]
+                                              ) // (b * (b - 1))
+            size = sum(len(x.terms) for col in cols for x in col)
+            for j, col in enumerate(cols):
+                col = [_valued_terms(cfg, x.terms, r)[1] if x else [] for x in col]
+                top = min((w for terms in col for w, _, _ in terms), default=INF) + slack
+                cols[j] = [[t for t in terms if t[0] <= top] for terms in col]
+            v = min((w for col in cols for terms in col for w, _, _ in terms), default=INF)
+            cols = [[LaurentElement._trusted(cfg, {k: c for w, k, c in terms if w <= v + slack})
+                     for terms in col] for col in cols]
+            if sum(len(x.terms) for col in cols for x in col) < size:
+                cuts[n] = v + slack + 1
+        if n <= b:
+            vals.append(v)
+            gamma.append(min(vj + (n - j) * op + fact[n - j] for j, vj in enumerate(vals)))
         errs.append(min([errs[n - b] + gamma[b] if n > b else INF]
                         + [cuts[k] + gamma[n - k] for k in range(n - b + 1, n + 1) if k in cuts]))
         if n >= from_n:
             if not (errs[n] is INF or v < errs[n]):
                 return _iterate_Dn(M, axis, n_max, r, from_n, cutting=False)
-            out.append((n, v))
+            out.append((n, INF if v is INF else Fraction(v, D)))
         if n < n_max:
             cols = [apply_connection(M, axis, col) for col in cols]
     return out
@@ -285,12 +301,13 @@ def spectral_valuation_estimate(M: DiffModule, axis: str, r: Sequence, n_max: in
     returned window is the oscillation over the last quarter of the samples, a
     heuristic convergence indicator rather than a bound.  Each ``v(D_n)`` in that
     tail is exact: :func:`_iterate_Dn` certifies it against its lower bound on the
-    truncation error, or reruns exact when the certificate fails.
+    truncation error, or reruns exact when the certificate fails.  ``ValueError``
+    unless ``r`` has one entry per geometric variable.
     """
     if n_max < 16:
         raise ValueError("n_max must be at least 16")
-    base = M.config.spectral_base_valuation(axis, r)
     tail = _iterate_Dn(M, axis, n_max, r, from_n=n_max - n_max // 4 + 1)
+    base = M.config.spectral_base_valuation(axis, r)
     finite = [v / n for n, v in tail if v is not INF]
     if not finite:
         return base, Fraction(0)

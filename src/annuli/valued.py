@@ -415,12 +415,9 @@ class LaurentElement:
         ``x - D ord_p(L)`` reaches the least value so far, ``L`` the lcm of the
         coefficient denominators.  The bound is exact: ``c L`` is an integer, so
         ``ord_p(c) >= -ord_p(L)``.  ``ValueError`` unless ``r`` has one entry per
-        geometric variable.
+        geometric variable (:func:`_fiber_scale`).
         """
-        cfg = self.config
-        if len(r) != cfg.n_geom:
-            raise ValueError(f"fiber vector has length {len(r)}, expected {cfg.n_geom}")
-        D, vals = _valued_terms(cfg, self.terms, r, least=True)
+        D, vals = _valued_terms(self.config, self.terms, r, least=True)
         return Fraction(vals[-1][0], D) if vals else INF
 
     def truncate(self, r: Sequence, cut) -> "LaurentElement":
@@ -478,7 +475,10 @@ def _int_terms(terms: dict):
 @lru_cache(maxsize=256)
 def _fiber_scale(cfg: ValuationConfig, r: tuple):
     """``(D, part)``, built once per configuration and fiber (a tuple): ``D`` the lcm of the
-    denominators of ``r`` and the u-weights, ``part((e, i))`` the integer ``e.(D w) + i.(D r)``."""
+    denominators of ``r`` and the u-weights, ``part((e, i))`` the integer ``e.(D w) + i.(D r)``.
+    ``ValueError`` unless ``r`` has one entry per geometric variable."""
+    if len(r) != cfg.n_geom:
+        raise ValueError(f"fiber vector has length {len(r)}, expected {cfg.n_geom}")
     r = [Fraction(q) for q in r]
     D = lcm(*(q.denominator for q in (*cfg.u_weights, *r)))
     dw, dr = ([q.numerator * (D // q.denominator) for q in qs] for qs in (cfg.u_weights, r))

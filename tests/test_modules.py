@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -134,8 +135,9 @@ def _ord_fact(k, p):
 
 
 @st.composite
-def triangular_modules(draw):
-    """An upper-triangular module of rank <= 3 along ``t1`` or ``u1`` (weight 1/2)."""
+def sparse_modules(draw, triangular=False):
+    """A module of rank <= 3 along ``t1`` or ``u1`` (weight 1/2): upper-triangular, or
+    full with some whole rows and columns zero and zero entries elsewhere."""
     p = draw(st.sampled_from((0, 2, 3)))
     cfg = ValuationConfig(p, (F(1, 2),), 1)
     axis = draw(st.sampled_from(("t1", "u1")))
@@ -147,12 +149,44 @@ def triangular_modules(draw):
                               min_size=0, max_size=3))
         return sum((cfg.monomial(c, u=(e,), t=(i,)) for c, e, i in terms), cfg.zero())
 
-    N = [[entry() if j >= i else cfg.zero() for j in range(rank)] for i in range(rank)]
+    if triangular:
+        N = [[entry() if j >= i else cfg.zero() for j in range(rank)] for i in range(rank)]
+    else:
+        rows, cols = (draw(st.sets(st.integers(0, rank - 1), max_size=rank)) for _ in "rc")
+        N = [[cfg.zero() if i in rows or j in cols else entry() for j in range(rank)]
+             for i in range(rank)]
     return DiffModule(cfg, rank, {axis: N}), axis
 
 
-@settings(max_examples=60, deadline=None)
-@given(triangular_modules(), st.sampled_from(FIBERS), st.integers(9, 24), st.booleans())
+def triangular_modules():
+    """An upper-triangular module of rank <= 3 along ``t1`` or ``u1`` (weight 1/2)."""
+    return sparse_modules(triangular=True)
+
+
+def _vectors(cfg, rank):
+    """Coordinate vectors of length ``rank``; an empty term list is a zero entry."""
+    term = st.tuples(st.sampled_from((1, -1, 2, 4, F(1, 2), F(3, 8))), st.integers(-2, 2),
+                     st.integers(-3, 3))
+    return st.lists(st.lists(term, max_size=3), min_size=rank, max_size=rank).map(
+        lambda vec: [sum((cfg.monomial(c, u=(e,), t=(i,)) for c, e, i in terms), cfg.zero())
+                     for terms in vec])
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_modules(), st.data())
+def test_apply_connection_matches_dense_reference(case, data):
+    """The sparse action equals ``d(v)_i + sum_j N_ij v_j`` with every product formed."""
+    M, axis = case
+    N, d = M.matrix(axis), M.rank
+    v = data.draw(_vectors(M.config, d))
+    want = [v[i].derive(axis) + sum((N[i][j] * v[j] for j in range(d)), M.config.zero())
+            for i in range(d)]
+    assert apply_connection(M, axis, v) == want
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.one_of(triangular_modules(), sparse_modules()), st.sampled_from(FIBERS),
+       st.integers(9, 24), st.booleans())
 def test_iterate_Dn_matches_exact_recursion(case, r, n_max, half):
     M, axis = case
     from_n = n_max // 2 if half else 1
@@ -169,11 +203,7 @@ def test_leibniz_bound_on_vectors(case, r, data):
     cfg = M.config
     op = cfg.operator_valuation(axis, [r])
     vals = [_mat_val(G, [r]) for G in _exact_powers(M, axis, 8)]
-    term = st.tuples(st.sampled_from((1, -1, 2, 4, F(1, 2), F(3, 8))), st.integers(-2, 2),
-                     st.integers(-3, 3))
-    y = [sum((cfg.monomial(c, u=(e,), t=(i,)) for c, e, i in terms), cfg.zero())
-         for terms in data.draw(st.lists(st.lists(term, max_size=3), min_size=M.rank,
-                                         max_size=M.rank))]
+    y = data.draw(_vectors(cfg, M.rank))
     vy = _mat_val([y], [r])
     for k in range(1, 9):
         y = apply_connection(M, axis, y)
@@ -240,6 +270,38 @@ def test_companion_certified_without_rerun(monkeypatch, p):
     est, _ = spectral_valuation_estimate(M, "t1", [F(1)], 256)
     assert reruns == []
     assert abs(est - (cfg.omega - visible_radii(M, "t1", [F(1)]).top()[0])) <= F(1, 10)
+
+
+def _twist_shapes():
+    """The fiber-certify spectral modules: sums of ``+-t^-k``, distinct ``k`` in 2..4."""
+    for p in (2, 3):
+        for rank in (1, 2, 3):
+            for ks in itertools.combinations((2, 3, 4), rank):
+                for signs in itertools.product((1, -1), repeat=rank):
+                    name = ",".join(f"{s:+}t^-{k}" for s, k in zip(signs, ks))
+                    yield pytest.param(p, list(zip(signs, ks)), id=f"p{p}-{name}")
+
+
+@pytest.mark.parametrize("p, twists", _twist_shapes())
+def test_twist_sum_iterates_certified_without_rerun(monkeypatch, p, twists):
+    cfg = ValuationConfig(p, (), 1)
+    M = reduce(direct_sum, [rank_one(cfg, {"t1": cfg.scalar(s) * cfg.t(1, -k)})
+                            for s, k in twists])
+    want = modules._iterate_Dn(M, "t1", 128, [F(1)], 1, cutting=False)
+    reruns = _count_exact_reruns(monkeypatch)
+    for from_n in (1, 97):  # 97 is where spectral_valuation_estimate's tail starts at n = 128
+        assert modules._iterate_Dn(M, "t1", 128, [F(1)], from_n) == want[from_n - 1:]
+    assert reruns == []
+
+
+def test_iterates_check_the_fiber_length(cfg2):
+    M = rank_one(cfg2, {"t1": cfg2.t(1, -2)})
+    zero = DiffModule(cfg2, 2, {"t1": [[cfg2.zero()] * 2 for _ in range(2)]})
+    for module, r in ((M, []), (zero, []), (M, [F(1), F(0)]), (zero, [F(1), F(0)])):
+        with pytest.raises(ValueError, match=f"fiber vector has length {len(r)}, expected 1"):
+            iterate_Dn(module, "t1", 4, r)
+        with pytest.raises(ValueError, match=f"fiber vector has length {len(r)}, expected 1"):
+            spectral_valuation_estimate(module, "t1", r, 16)
 
 
 def test_cyclic_rank1(cfg2):

@@ -158,11 +158,6 @@ def sparse_modules(draw, triangular=False):
     return DiffModule(cfg, rank, {axis: N}), axis
 
 
-def triangular_modules():
-    """An upper-triangular module of rank <= 3 along ``t1`` or ``u1`` (weight 1/2)."""
-    return sparse_modules(triangular=True)
-
-
 def _vectors(cfg, rank):
     """Coordinate vectors of length ``rank``; an empty term list is a zero entry."""
     term = st.tuples(st.sampled_from((1, -1, 2, 4, F(1, 2), F(3, 8))), st.integers(-2, 2),
@@ -185,7 +180,7 @@ def test_apply_connection_matches_dense_reference(case, data):
 
 
 @settings(max_examples=90, deadline=None)
-@given(st.one_of(triangular_modules(), sparse_modules()), st.sampled_from(FIBERS),
+@given(st.one_of(sparse_modules(triangular=True), sparse_modules()), st.sampled_from(FIBERS),
        st.integers(9, 24), st.booleans())
 def test_iterate_Dn_matches_exact_recursion(case, r, n_max, half):
     M, axis = case
@@ -196,7 +191,7 @@ def test_iterate_Dn_matches_exact_recursion(case, r, n_max, half):
 
 
 @settings(max_examples=40, deadline=None)
-@given(triangular_modules(), st.sampled_from(FIBERS), st.data())
+@given(sparse_modules(triangular=True), st.sampled_from(FIBERS), st.data())
 def test_leibniz_bound_on_vectors(case, r, data):
     """``v(D^k y) >= v(y) + gamma_k``, ``gamma_k = min_j (v(G_j) + (k-j) op + ord_p((k-j)!))``."""
     M, axis = case

@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Callable, List, Optional, Sequence
 
-from .modules import DiffModule, _monomial_pullback
-from .profiles import RadiusProfile, build_radius_profile, decomposition_loci
+from .modules import DiffModule, _monomial_pullback, cyclic_vector
+from .profiles import RadiusProfile, _charpoly_profile, decomposition_loci
 from .pwaffine import PiecewiseAffine, _lower_hull, max_of_lines
 from .report import Report, check_convex, check_integral, clause, named
 
@@ -567,10 +567,6 @@ def fiber_to_source(A: UnimodularMatrix, r: Sequence) -> tuple:
     return A.transpose().inverse().apply(r)
 
 
-def fiber_to_target(A: UnimodularMatrix, rho: Sequence) -> tuple:
-    return A.transpose().apply(rho)
-
-
 # -- multidimensional slicing ----------------------------------------------------
 
 
@@ -602,7 +598,10 @@ def multidim_profile(
 
     Each primitive direction is completed to a unimodular matrix, the module
     is pulled back toroidally, and the one-dimensional profile machinery runs
-    along the first substituted coordinate.  The per-slice report checks
+    along the first substituted coordinate.  One call does that work once per
+    direction, with one :func:`annuli.modules.cyclic_vector` charpoly per axis
+    of the pullback, and builds one profile per chord, which every slice along
+    that chord shares.  The per-slice report checks
     convexity of the partial sums and the slope membership asserted for
     transintegral polyhedrality (``d! F_l`` and ``F_d`` slopes integral along
     integer directions).
@@ -610,21 +609,25 @@ def multidim_profile(
     cfg = M.config
     if C.dim != cfg.n_geom:
         raise ValueError("region dimension must match the geometric variable count")
-    out = MultidimReport()
+    out, memo = MultidimReport(), {}
     for base_point, direction in directions:
         if not C.contains(base_point):
             raise ValueError(f"base point {base_point} outside the region")
-        a, t_range, profile = _chord_profile(M, C, base_point, direction, axis)
+        a, t_range, profile = _chord_profile(M, C, base_point, direction, axis, memo)
         rep = _slice_report(profile)
         out.slices.append(SliceResult(_fvec(base_point), a, t_range, profile, rep))
     return out
 
 
-def _chord_profile(M: DiffModule, C: TRPSet, point, direction, axis: str):
+def _chord_profile(M: DiffModule, C: TRPSet, point, direction, axis: str, memo: dict):
     """Profile of ``M`` along the chord of ``C`` from ``point`` in a primitive direction.
 
     Returns ``(direction, (tmin, tmax), profile)``; the profile runs along the
     first coordinate of the toroidal pullback, over ``rho0 + [tmin, tmax]``.
+    ``memo``, the caller's own dict, keeps per direction ``a`` the inverse
+    transpose of its completion ``A``, the pullback and one charpoly per axis,
+    and per chord ``(a, rho0[1:])`` the profile: every point of a chord gives
+    the same ``rho0[1:]`` and the same window ``rho0[0] + [tmin, tmax]``.
     """
     a = tuple(int(x) for x in direction)
     if a != _primitive(a):
@@ -633,11 +636,18 @@ def _chord_profile(M: DiffModule, C: TRPSet, point, direction, axis: str):
     if rng is None or rng[0] is None or rng[1] is None or rng[0] >= rng[1]:
         raise ValueError("chord misses the region, is unbounded or is degenerate")
     tmin, tmax = rng
-    A = unimodular_completion(a)
-    Mp = toroidal_pullback(M, A)
-    rho0 = fiber_to_source(A, point)
-    window = (rho0[0] + tmin, rho0[0] + tmax)
-    return a, (tmin, tmax), build_radius_profile(Mp, axis, "t1", window, list(rho0))
+    if a not in memo:
+        A = unimodular_completion(a)
+        Mp = toroidal_pullback(M, A)
+        axes = Mp.axes() if axis == "intrinsic" else [axis]
+        memo[a] = (A.transpose().inverse(), Mp, {x: cyclic_vector(Mp, x)[1] for x in axes}, {})
+    inverse_t, Mp, charpolys, chords = memo[a]
+    rho0 = inverse_t.apply(point)
+    if rho0[1:] not in chords:
+        window = (rho0[0] + tmin, rho0[0] + tmax)
+        chords[rho0[1:]] = _charpoly_profile(Mp, charpolys, axis == "intrinsic", "t1", window,
+                                             list(rho0))
+    return a, (tmin, tmax), chords[rho0[1:]]
 
 
 def _slice_report(profile: RadiusProfile) -> Report:
@@ -662,13 +672,17 @@ def module_slice_oracle(M: DiffModule, C: TRPSet, level: int, scale: int = 1) ->
     """Slice oracle returning ``scale * F_level`` of a module along chords of ``C``.
 
     Every queried chord must be definite (no capped cells through index
-    ``level``); a capped chord raises, since the value there is uncertified.
-    Feeding this to :func:`reconstruct_polyhedral` recovers the polyhedral
-    form of ``d! F_l`` over the region.
+    ``level``); a capped chord raises, on every query, since the value there
+    is uncertified.  Feeding this to :func:`reconstruct_polyhedral` recovers
+    the polyhedral form of ``d! F_l`` over the region.  The oracle keeps its
+    own memo: the pullback and one :func:`annuli.modules.cyclic_vector`
+    charpoly per axis once per direction, and one profile per chord, which
+    later queries along that chord, from any point of it, reuse.
     """
+    memo = {}
 
     def oracle(point, direction):
-        _, (tmin, _), profile = _chord_profile(M, C, point, direction, "intrinsic")
+        _, (tmin, _), profile = _chord_profile(M, C, point, direction, "intrinsic", memo)
         window = profile.window
         shift = window[0] - tmin  # window coordinate -> chord parameter
         pieces = profile.partial_sum(level)

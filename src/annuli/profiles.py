@@ -89,9 +89,6 @@ class RadiusProfile:
                 return [c.value(i, x) for i in range(c.m)]
         raise ValueError(f"{x} outside profile window")
 
-    def fully_capped(self) -> bool:
-        return all(c.m == 0 for c in self.cells)
-
 
 def _tau_line(config, axis: str, geom_axis: str, frozen) -> tuple:
     """Operator valuation of ``axis`` as ``(slope, value at 0)`` in the varying radius."""
@@ -116,22 +113,25 @@ def build_radius_profile(
     hull of a cyclic-vector characteristic polynomial, and cells where a value
     sits at or under the visibility bound are flagged capped.
     """
-    if axis == "intrinsic":
-        if not M.axes():
-            raise ValueError("module carries no derivations")
-        parts = [
-            _axis_profile(M, a, geom_axis, window, frozen, intrinsic=True)
-            for a in M.axes()
-        ]
-        return _combine_intrinsic(parts, M)
-    return _axis_profile(M, axis, geom_axis, window, frozen, intrinsic=False)
+    if axis == "intrinsic" and not M.axes():
+        raise ValueError("module carries no derivations")
+    axes = M.axes() if axis == "intrinsic" else [axis]
+    return _charpoly_profile(M, {a: cyclic_vector(M, a)[1] for a in axes},
+                             axis == "intrinsic", geom_axis, window, frozen)
 
 
-def _axis_profile(M, axis, geom_axis, window, frozen, intrinsic) -> RadiusProfile:
+def _charpoly_profile(M, charpolys: dict, intrinsic: bool, geom_axis, window, frozen):
+    """The profile from one cyclic-vector charpoly per derivation axis (``{axis: P}``):
+    the single extrinsic axis, or every axis combined intrinsically."""
+    parts = [_axis_profile(M, a, P, geom_axis, window, frozen, intrinsic)
+             for a, P in charpolys.items()]
+    return _combine_intrinsic(parts, M) if intrinsic else parts[0]
+
+
+def _axis_profile(M, axis, P, geom_axis, window, frozen, intrinsic) -> RadiusProfile:
     cfg = M.config
     frozen = list(frozen) if frozen else [Fraction(0)] * cfg.n_geom
     lo, hi = Fraction(window[0]), Fraction(window[1])
-    _, P = cyclic_vector(M, axis)
     sf = slope_functions(P, geom_axis, window, frozen)
     ts, tc = _tau_line(cfg, axis, geom_axis, frozen)
     omega = cfg.omega

@@ -84,9 +84,6 @@ class PiecewiseAffine:
     def slopes(self) -> tuple:
         return tuple(p[2] for p in self.pieces())
 
-    def is_affine(self) -> bool:
-        return len(self.knots) == 2
-
     def is_affine_on_open(self, lo, hi) -> bool:
         """No breakpoint strictly inside ``(lo, hi)``."""
         lo, hi = _frac(lo), _frac(hi)
@@ -122,33 +119,6 @@ class PiecewiseAffine:
     def scale(self, c) -> "PiecewiseAffine":
         c = _frac(c)
         return PiecewiseAffine(self.knots, tuple(c * v for v in self.values))
-
-    def roots(self) -> list:
-        """Zeros of the function, as points and closed intervals.
-
-        Returns a list of ``(a, b)`` pairs with ``a <= b``; a pair with a == b
-        is an isolated zero, otherwise the function vanishes on ``[a, b]``.
-        """
-        out = []
-        for lo, hi, slope, v0 in self.pieces():
-            if slope == 0:
-                if v0 == 0:
-                    out.append((lo, hi))
-                continue
-            x = lo - v0 / slope
-            if lo <= x <= hi:
-                out.append((x, x))
-        # merge touching intervals
-        merged: list = []
-        for a, b in sorted(out):
-            if merged and a <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-            else:
-                merged.append((a, b))
-        return merged
-
-    def min_value(self) -> Fraction:
-        return min(self.values)
 
     def max_value(self) -> Fraction:
         return max(self.values)

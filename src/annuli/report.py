@@ -50,9 +50,6 @@ class Report:
     def failures(self) -> list:
         return [r for r in self.results if r.status == FAIL]
 
-    def by_name(self, name: str) -> list:
-        return [r for r in self.results if r.name == name]
-
     def as_dict(self) -> dict:
         return {
             "passed": self.passed,

@@ -261,9 +261,6 @@ class NewtonPolygon:
         """Slopes expanded with multiplicity, ascending."""
         return [s for s, m in self.slopes for _ in range(m)]
 
-    def classical_slope_list(self) -> list:
-        return [s for s, m in self.classical_slopes() for _ in range(m)]
-
 
 def newton_polygon(P: TwistedPoly, r: Sequence) -> NewtonPolygon:
     """Exact hull of the coefficient valuations at the fiber ``r``."""
@@ -288,10 +285,6 @@ class SlopeFunctions:
     def __len__(self):
         return len(self.fs)
 
-    def eval_slopes(self, r) -> list:
-        """Classical slope multiset at a single fiber value, ascending."""
-        return sorted(f(r) for f in self.fs)
-
 
 def slope_functions(P: TwistedPoly, axis: str, window, frozen: Sequence = ()) -> SlopeFunctions:
     """Exact parametric Newton polygon along one geometric axis.
@@ -303,12 +296,30 @@ def slope_functions(P: TwistedPoly, axis: str, window, frozen: Sequence = ()) ->
     of piecewise-affine functions of ``r``.  Returns the classical slope
     functions ``f_i = F_i - F_{i-1}``, ascending, and their partial sums
     ``F_i = h(d - i) - h(d)``, ``d`` the degree.
+
+    Common shift: adding one function ``G`` of ``r`` to every ``v_i`` adds
+    ``G`` to every height, so ``f_i`` and ``F_i`` do not change.  Denominators
+    are grouped by equality up to a monomial ``m`` (all of ``cyclic_vector``'s
+    ``n_i/delta`` form one group), each group's ``g = den/m`` is valued once,
+    and ``G`` is the sum of those valuations: ``n/(m g)`` is valued as ``n/m``
+    plus the other groups, a Laurent coefficient as itself plus every group.
     """
     if P.is_zero():
         raise ValueError("slope functions of the zero polynomial")
     lo, hi = Fraction(window[0]), Fraction(window[1])
-    v = {i: valuation_function(c, axis, (lo, hi), frozen)
-         for i, c in enumerate(P.coeffs) if not c.is_zero()}
+    groups, shifted = {}, {}
+    for i, c in enumerate(P.coeffs):
+        if c.is_zero():
+            continue
+        num, den = (c.num, c.den) if isinstance(c, FracElement) else (c, P.config.one())
+        (e0, t0), c0 = den._key[0]  # m, the least term of den
+        m_inv = P.config.monomial(1 / Fraction(c0), [-x for x in e0], [-x for x in t0])
+        g = den * m_inv
+        if len(g.terms) > 1 and g._key not in groups:
+            groups[g._key] = valuation_function(g, axis, (lo, hi), frozen)
+        shifted[i] = (valuation_function(num * m_inv, axis, (lo, hi), frozen), g._key)
+    v = {i: reduce(partial(pa_combine, "sum"), (G for k, G in groups.items() if k != key), f)
+         for i, (f, key) in shifted.items()}
 
     def hull_at(x):
         vals = [v[x]] if x in v else []

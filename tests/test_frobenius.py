@@ -13,6 +13,7 @@ from annuli import (
 )
 from annuli.frobenius import PureValueError
 from annuli.modules import RadiiMultiset
+from helpers import by_name
 
 F = Fraction
 
@@ -126,7 +127,7 @@ def test_rotation_base_axis_scale():
 
 def test_laws_pass_away_from_pure():
     rep = check_push_pull_laws(ms((3, 1)), 2)
-    pulls = rep.by_name("pull of push")
+    pulls = by_name(rep, "pull of push")
     assert pulls and all(r.status == "pass" for r in pulls)
 
 
@@ -134,10 +135,10 @@ def test_laws_composition_below_threshold():
     rep = check_push_pull_laws(ms((F(1, 2), 1)), 2)
     # push meets the pure value, so pull-of-push is reported ambiguous,
     # while push-of-pull verifies against the twist prediction
-    assert rep.by_name("pull of push")[0].status == "ambiguous"
-    assert rep.by_name("push of pull")[0].status == "pass"
+    assert by_name(rep, "pull of push")[0].status == "ambiguous"
+    assert by_name(rep, "push of pull")[0].status == "pass"
 
 
 def test_laws_pure_value_flagged():
     rep = check_push_pull_laws(ms((2, 1)), 2)
-    assert rep.by_name("push of pull")[0].status == "ambiguous"
+    assert by_name(rep, "push of pull")[0].status == "ambiguous"

@@ -26,7 +26,8 @@ from annuli import (
     unimodular_completion,
     visible_radii,
 )
-from annuli.polyhedral import OracleInconsistency, _complex_edges, fiber_to_source, fiber_to_target
+from annuli.polyhedral import OracleInconsistency, _complex_edges, fiber_to_source
+from helpers import fiber_to_target
 
 F = Fraction
 
@@ -508,3 +509,54 @@ def test_module_backed_reconstruction():
     oracle = module_slice_oracle(M, C, level=1, scale=1)
     got = reconstruct_polyhedral(C, oracle)
     assert got.functionals == (AffineFunctional((1, 0), F(4)),)
+
+
+def test_slice_oracle_memo_matches_fresh_oracles(monkeypatch):
+    """One oracle reuses its pullback and charpolys per direction and its profile per
+    chord: a chord queried from two of its points, and one direction at two offsets,
+    give what a fresh oracle gives; one reconstruction runs ``cyclic_vector`` at most
+    once per direction and axis; a capped chord raises on every query."""
+    import annuli.modules
+    import annuli.polyhedral as poly
+    import annuli.profiles
+
+    cfg = ValuationConfig(2, (), 2)
+    M = direct_sum(_potential_twist(cfg, F(-1, 8), -1, 0), _potential_twist(cfg, F(-1, 2), 0, -1))
+    C = TRPSet.box([(1, 4), (1, 4)])
+    oracle = poly.module_slice_oracle(M, C, level=1, scale=2)
+    queries = [((F(3, 2), F(5, 2)), (1, 1)), ((F(3), F(4)), (1, 1)),  # one chord
+               ((F(5, 2), F(3, 2)), (1, 1)), ((F(2), F(2)), (1, 0)), ((F(2), F(3)), (1, 0))]
+    for point, direction in queries + queries[::-1]:
+        assert oracle(point, direction) == poly.module_slice_oracle(M, C, 1, 2)(point, direction)
+    chord = [((F(3, 2), F(5, 2)), (1, 1)), ((F(3), F(4)), (1, 1))]
+    sliced = multidim_profile(M, C, chord).slices
+    assert sliced == [multidim_profile(M, C, [q]).slices[0] for q in chord]
+    assert sliced[0].profile is sliced[1].profile
+
+    calls, directions = [], set()
+    counted = annuli.modules.cyclic_vector
+
+    def counting(module, axis):
+        calls.append(axis)
+        return counted(module, axis)
+
+    for mod in (poly, annuli.profiles):
+        monkeypatch.setattr(mod, "cyclic_vector", counting)
+    fresh = poly.module_slice_oracle(M, C, level=1, scale=2)
+
+    def recording(point, direction):
+        directions.add(tuple(direction))
+        return fresh(point, direction)
+
+    got = reconstruct_polyhedral(C, recording)
+    assert 0 < len(calls) <= len(directions) * len(M.axes())
+    # a new oracle for every query keeps no memo
+    assert got == reconstruct_polyhedral(C, lambda x, a: poly.module_slice_oracle(M, C, 1, 2)(x, a))
+
+    low = TRPSet.box([(-6, 0), (-6, 0)])
+    capped = poly.module_slice_oracle(M, low, level=1)
+    for point in [(F(-11, 2), F(-11, 2)), (F(-11, 2), F(-11, 2)), (F(-1), F(-11, 2))]:  # one chord
+        with pytest.raises(ValueError, match="capped"):
+            capped(point, (1, 0))
+    assert capped((F(-1, 2), F(-1, 2)), (1, 0)) == poly.module_slice_oracle(M, low, 1)(
+        (F(-1, 2), F(-1, 2)), (1, 0))

@@ -21,6 +21,7 @@ from annuli import (
 from annuli.profiles import ProfileCell
 from annuli.report import PASS
 from annuli.twisted import TwistedPoly
+from helpers import by_name, fully_capped
 
 F = Fraction
 
@@ -51,7 +52,7 @@ def test_rank1_extrinsic_profile(cfg2):
 def test_trivial_module_capped(cfg2):
     M = DiffModule(cfg2, 2, {"t1": [[cfg2.zero()] * 2 for _ in range(2)]})
     prof = build_radius_profile(M, "intrinsic", "t1", (F(0), F(1)))
-    assert prof.fully_capped()
+    assert fully_capped(prof)
 
 
 def test_rank2_direct_sum_profile(cfg2):
@@ -129,7 +130,7 @@ def test_verify_disc_monotonicity_failure():
     rep = verify_variation(prof, "disc", "geometric", 2)
     assert any(r.name == "monotonicity" and r.status == "fail" for r in rep.results)
     ok = verify_variation(prof, "annulus", "geometric", 2)
-    assert all(r.status != "fail" for r in ok.by_name("monotonicity"))
+    assert all(r.status != "fail" for r in by_name(ok, "monotonicity"))
 
 
 def test_verify_convexity_failure():
@@ -262,7 +263,7 @@ def test_swan_breaks_at_p0_are_the_formal_slopes(coeffs):
     out = swan_breaks(build_radius_profile(from_companion(P), "intrinsic", "t1", (F(0), F(1))))
     points = [(i, min(a) - i) for i, a in enumerate(coeffs) if a] + [(len(coeffs), -len(coeffs))]
     assert [b for b, m in out.breaks for _ in range(m)] == _formal_slopes(points)
-    assert [r.status for r in out.report.by_name("break integrality")] == [PASS]
+    assert [r.status for r in by_name(out.report, "break integrality")] == [PASS]
 
 
 def test_decomposition_loci_maximal(cfg2):

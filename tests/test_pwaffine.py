@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from annuli.pwaffine import PiecewiseAffine, max_of_lines, min_of_lines, pa_combine
+from helpers import is_affine, roots
 
 F = Fraction
 
@@ -59,13 +60,12 @@ def test_restrict_and_roots():
     g = f.restrict(F(1, 2), F(3, 2))
     assert g.domain == (F(1, 2), F(3, 2))
     h = f - F(1, 2)
-    roots = h.roots()
-    assert roots == [(F(1, 2), F(1, 2)), (F(3, 2), F(3, 2))]
+    assert roots(h) == [(F(1, 2), F(1, 2)), (F(3, 2), F(3, 2))]
 
 
 def test_canonical_merges_equal_slopes():
     f = PiecewiseAffine([0, 1, 2], [0, 1, 2])
-    assert f.is_affine()
+    assert is_affine(f)
     assert f.breakpoints() == ()
 
 

@@ -22,6 +22,7 @@ from annuli import (
     verify_newton_properties,
 )
 from annuli.twisted import NoSeparatingVertex, _laurent_approx, opposite
+from helpers import by_name, classical_slope_list, is_affine
 
 F = Fraction
 
@@ -86,7 +87,7 @@ def test_newton_polygon_pure_half(cfg2):
     np_ = newton_polygon(poly, [F(1)])
     assert np_.vertices == ((0, F(1)), (2, F(0)))
     assert np_.slopes == ((F(-1, 2), 2),)
-    assert np_.classical_slope_list() == [F(1, 2), F(1, 2)]
+    assert classical_slope_list(np_) == [F(1, 2), F(1, 2)]
 
 
 def test_newton_polygon_monomial(cfg2):
@@ -106,21 +107,21 @@ def test_slope_functions_worked_example(cfg2):
     assert f2(F(-1)) == F(-1, 2) and f2(F(1)) == 1
     assert f2.slopes() == (F(1, 2), F(1))
     F2 = sf.Fs[1]
-    assert F2.is_affine() and F2.slopes() == (F(1),)
+    assert is_affine(F2) and F2.slopes() == (F(1),)
 
 
 def test_slope_functions_monomial_twist(cfg2):
     poly = P(cfg2, -cfg2.t(1, 3), cfg2.one())  # T - t^3
     sf = slope_functions(poly, "t1", (F(-2), F(2)))
     assert len(sf.fs) == 1
-    assert sf.fs[0].is_affine()
+    assert is_affine(sf.fs[0])
     assert sf.fs[0].slopes() == (F(3),)
 
 
 def test_slope_functions_constant_coeffs(cfg3):
     poly = P(cfg3, cfg3.scalar(9), cfg3.scalar(3), cfg3.one())
     sf = slope_functions(poly, "t1", (F(-1), F(1)))
-    assert all(f.is_affine() and f.slopes() == (F(0),) for f in sf.fs)
+    assert all(is_affine(f) and f.slopes() == (F(0),) for f in sf.fs)
 
 
 def _random_polys(cfg2, rng):
@@ -166,9 +167,61 @@ def test_parametric_hull_matches_pointwise(cfg2):
         knots = sorted(set().union(*(f.knots for f in sf.fs)))
         mids = [(a + b) / 2 for a, b in zip(knots, knots[1:])]
         for r in knots + mids + [F(rng.randint(-16, 16), 8) for _ in range(10)]:
-            slopes = newton_polygon(poly, [r]).classical_slope_list()
+            slopes = classical_slope_list(newton_polygon(poly, [r]))
             assert [f(r) for f in sf.fs] == slopes
             assert [Fs(r) for Fs in sf.Fs] == [sum(slopes[:i + 1]) for i in range(len(slopes))]
+
+
+_coefs = st.sampled_from((1, -1, 2, -3, F(1, 2), F(-1, 3), F(3, 4), 6))
+
+
+@st.composite
+def _laurents(draw, cfg, terms):
+    """A Laurent element in ``t`` with ``terms`` distinct exponents in ``-3..3``."""
+    exps = draw(st.lists(st.integers(-3, 3), min_size=terms, max_size=terms, unique=True))
+    return sum((cfg.monomial(draw(_coefs), t=(k,)) for k in exps), cfg.zero())
+
+
+@st.composite
+def shifted_families(draw):
+    """A Laurent polynomial ``sum c_i T^i`` and the same polynomial with every coefficient
+    times one nonzero function of ``r``, written five ways: times a Laurent element;
+    as fractions over one denominator up to monomials; alternately over two unrelated
+    denominators ``b`` and ``b s``; Laurent coefficients mixed with ``(c s)/s``; and as
+    it is.  Each coefficient valuation moves by the same function, so the hull slopes
+    do not."""
+    p = draw(st.sampled_from((0, 2, 3)))
+    cfg = ValuationConfig(p)
+    deg = draw(st.integers(1, 4))
+    cs = [draw(st.one_of(st.just(cfg.zero()), _laurents(cfg, 1), _laurents(cfg, 2)))
+          for _ in range(deg)]
+    cs.append(draw(st.one_of(_laurents(cfg, 1), _laurents(cfg, 2))))
+    u, a = draw(_laurents(cfg, 2)), draw(_laurents(cfg, 1))
+    b, s = draw(_laurents(cfg, 2)), draw(_laurents(cfg, 2))
+    monos = [draw(_laurents(cfg, 1)) for _ in cs]
+    return [P(cfg, *cs),
+            P(cfg, *(c * u for c in cs)),
+            P(cfg, *(FracElement(c * a * m, b * m) for c, m in zip(cs, monos))),
+            P(cfg, *(FracElement(c * a, b) if i % 2 else FracElement(c * a * s, b * s)
+                     for i, c in enumerate(cs))),
+            P(cfg, *(c if i % 2 else FracElement(c * s, s) for i, c in enumerate(cs)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifted_families())
+def test_slope_functions_ignore_a_common_shift(family):
+    """Multiplying every coefficient by one nonzero element moves every coefficient
+    valuation by one function of ``r`` and leaves ``fs`` and ``Fs`` as they are, however
+    the denominators group; at interior fibers each matches the pointwise hull."""
+    window = (F(-2), F(2))
+    want = slope_functions(family[0], "t1", window)
+    knots = sorted(set(chain.from_iterable(f.knots for f in want.fs)) | set(window))
+    points = [(x + y) / 2 for x, y in zip(knots, knots[1:])] + [F(k, 7) for k in range(-13, 14, 4)]
+    for poly in family:
+        sf = slope_functions(poly, "t1", window)
+        assert (sf.fs, sf.Fs) == (want.fs, want.Fs)
+        for r in points:
+            assert [f(r) for f in sf.fs] == classical_slope_list(newton_polygon(poly, [r]))
 
 
 def test_untwisted_additivity_of_polygons(cfg3):
@@ -314,7 +367,7 @@ def test_verify_random_monic_concavity(cfg2):
 def test_verify_nonmonic_monotonicity_na(cfg2):
     poly = P(cfg2, cfg2.one(), cfg2.scalar(2))
     rep = verify_newton_properties(poly, "t1", (F(0), F(1)), disc=True)
-    mono = rep.by_name("monotonicity")
+    mono = by_name(rep, "monotonicity")
     assert mono and mono[0].status == "not applicable"
 
 
@@ -323,14 +376,14 @@ def test_verify_truncation_clause(cfg2):
     rep = verify_newton_properties(
         poly, "t1", (F(-1), F(1)), disc=True, truncation=(F(1), F(0))
     )
-    tr = rep.by_name("truncation")
+    tr = by_name(rep, "truncation")
     assert tr and tr[0].status == "pass"
 
 
 def test_verify_truncation_nonmonic_na(cfg2):
     poly = P(cfg2, cfg2.one(), cfg2.scalar(2))  # 2T + 1
     rep = verify_newton_properties(poly, "t1", (F(0), F(1)), disc=True, truncation=(1, 0))
-    tr = rep.by_name("truncation")
+    tr = by_name(rep, "truncation")
     assert [(r.status, r.witness) for r in tr] == [("not applicable", "requires monic input")]
 
 

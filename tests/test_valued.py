@@ -14,6 +14,7 @@ from annuli import (
     valuation_function,
 )
 from annuli.valued import _ord_int, solve_fraction_free
+from helpers import is_affine
 
 F = Fraction
 
@@ -99,7 +100,7 @@ def test_valuation_function_two_terms(cfg2):
 
 def test_valuation_function_monomial(cfg2):
     f = valuation_function(cfg2.t(1, 3), "t1", (F(-1), F(1)))
-    assert f.is_affine()
+    assert is_affine(f)
     assert f.slopes() == (F(3),)
 
 

@@ -347,6 +347,14 @@ def _cyclic_candidates(M: DiffModule, axis: str):
         yield [cfg.scalar(lam ** i) for i in range(d)]
 
 
+def _support_closure(N: list, vec: Sequence) -> set:
+    """The least index set holding ``vec``'s support that ``N`` maps into itself."""
+    span = {j for j, x in enumerate(vec) if x}
+    while grown := {i for i, row in enumerate(N) for j in span if row[j]} - span:
+        span |= grown
+    return span
+
+
 def cyclic_vector(M: DiffModule, axis: str) -> Tuple[list, TwistedPoly]:
     """A Laurent cyclic vector plus its annihilator over the rational-function field.
 
@@ -355,11 +363,18 @@ def cyclic_vector(M: DiffModule, axis: str) -> Tuple[list, TwistedPoly]:
     (:func:`valued.solve_fraction_free`) of ``[v, Dv, ..., D^{d-1}v] c = -D^d v``
     gives Laurent numerators ``n_i`` over one determinant ``delta``, and the
     monic ``P = T^d + sum (n_i/delta) T^i`` has ``P(D)v = 0``.  ``v`` is cyclic
-    iff ``delta != 0``; otherwise the next candidate is tried.
+    iff ``delta != 0``; otherwise the next candidate is tried.  A candidate whose
+    support closes under ``N`` (``N[i][j] != 0`` with ``j`` in it adds ``i``) on
+    fewer than ``d`` indices is skipped as tried, exactly: ``d`` keeps zero
+    entries zero, so every ``D^k v`` lies in that coordinate subspace and the
+    Krylov matrix has a zero row.  On a dense matrix nothing is skipped.
     """
     d = M.rank
     tried = 0
     for vec in _cyclic_candidates(M, axis):
+        if len(_support_closure(M.matrix(axis), vec)) < d:
+            tried += 1
+            continue
         cols = [vec]
         for _ in range(d):
             cols.append(apply_connection(M, axis, cols[-1]))

@@ -562,11 +562,6 @@ def toroidal_pullback(M: DiffModule, A: UnimodularMatrix) -> DiffModule:
     return _monomial_pullback(M, A.rows)
 
 
-def fiber_to_source(A: UnimodularMatrix, r: Sequence) -> tuple:
-    """The substituted-side fiber matching the original fiber ``r``."""
-    return A.transpose().inverse().apply(r)
-
-
 # -- multidimensional slicing ----------------------------------------------------
 
 

@@ -34,6 +34,13 @@ class PiecewiseAffine:
             raise ValueError("knots must be strictly increasing")
         self.knots, self.values = _canonical(knots, values)
 
+    @classmethod
+    def _trusted(cls, knots: tuple, values: tuple) -> "PiecewiseAffine":
+        """From canonical ``Fraction`` tuples, unchecked."""
+        f = object.__new__(cls)
+        f.knots, f.values = knots, values
+        return f
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -116,10 +123,6 @@ class PiecewiseAffine:
             return pa_combine("sum", self, -other)
         return self + (-_frac(other))
 
-    def scale(self, c) -> "PiecewiseAffine":
-        c = _frac(c)
-        return PiecewiseAffine(self.knots, tuple(c * v for v in self.values))
-
     def max_value(self) -> Fraction:
         return max(self.values)
 
@@ -156,37 +159,41 @@ def _canonical(knots, values):
     return tuple(out_k), tuple(out_v)
 
 
+def _read(f: PiecewiseAffine, i: int, x: Fraction) -> Fraction:
+    """``f(x)`` for ``knots[i - 1] < x <= knots[i]``: the stored value at a knot."""
+    ks, vs = f.knots, f.values
+    return vs[i] if ks[i] == x else vs[i - 1] + (vs[i] - vs[i - 1]) * (x - ks[i - 1]) / (ks[i] - ks[i - 1])
+
+
 def pa_combine(op: str, f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
     """Exact pointwise ``sum``, ``min`` or ``max`` of two functions.
 
-    Domains must agree.  Breakpoints are refined by the union of both knot
-    sets and, for min/max, by the crossings of the two functions inside each
-    refined cell; the result is re-canonicalized.
+    Domains must agree.  One forward merge walks the union of both knot sets:
+    each function is read from its stored value at its own knots and
+    interpolated only at the other's.  For min/max, a cell of the union where
+    the difference of the two flips sign gets their crossing as one more knot.
+    The result is re-canonicalized and built without revalidation.
     """
-    if op not in ("sum", "min", "max"):
+    pick = {"sum": lambda u, w: u + w, "min": min, "max": max}.get(op)
+    if pick is None:
         raise ValueError(f"unknown op {op!r}")
     if f.domain != g.domain:
         raise ValueError(f"domain mismatch {f.domain} != {g.domain}")
-    xs = sorted(set(f.knots) | set(g.knots))
-    if op != "sum":
-        extra = []
-        for a, b in zip(xs, xs[1:]):
-            fa, fb = f(a), f(b)
-            ga, gb = g(a), g(b)
-            # affine on [a, b] for both; crossing where the difference flips sign
-            da, db = fa - ga, fb - gb
-            if (da > 0 > db) or (da < 0 < db):
-                x = a + (b - a) * da / (da - db)
-                if a < x < b:
-                    extra.append(x)
-        xs = sorted(set(xs) | set(extra))
-    if op == "sum":
-        ys = [f(x) + g(x) for x in xs]
-    elif op == "min":
-        ys = [min(f(x), g(x)) for x in xs]
-    else:
-        ys = [max(f(x), g(x)) for x in xs]
-    return PiecewiseAffine(xs, ys)
+    fk, gk = f.knots, g.knots
+    xs, ys, i, j, prev = [], [], 0, 0, None
+    while i < len(fk):  # both knot lists end at the domain's right end
+        x = min(fk[i], gk[j])
+        u, w = _read(f, i, x), _read(g, j, x)
+        if op != "sum" and prev and (prev[1] - prev[2]) * (u - w) < 0:  # they cross inside
+            a, ua, wa = prev
+            t = (ua - wa) / (ua - wa - u + w)
+            xs.append(a + t * (x - a))
+            ys.append(ua + t * (u - ua))
+        xs.append(x)
+        ys.append(pick(u, w))
+        prev = (x, u, w)
+        i, j = i + (fk[i] == x), j + (gk[j] == x)
+    return PiecewiseAffine._trusted(*_canonical(tuple(xs), tuple(ys)))
 
 
 def _lower_hull(points: Iterable) -> list:
@@ -215,7 +222,10 @@ def min_of_lines(lines: Iterable, lo, hi) -> PiecewiseAffine:
     monotone stack: the envelope is concave, and a line is popped once its
     successor crosses its predecessor no later than it does.  The crossings
     of consecutive stack lines inside ``(lo, hi)`` are the knots.  Cost:
-    ``O(n log n)`` for the sort, ``O(n)`` for the sweep.
+    ``O(n log n)`` for the sort, ``O(n)`` for the sweep.  The result is built
+    without revalidation: its knots increase strictly, and the segments on
+    either side of a knot lie on consecutive stack lines, whose slopes differ,
+    so it is already canonical.
     """
     lo, hi = _frac(lo), _frac(hi)
     if lo >= hi:
@@ -245,7 +255,7 @@ def min_of_lines(lines: Iterable, lo, hi) -> PiecewiseAffine:
             j += 1
         a, b = hull[j]
         values.append(a * x + b)
-    return PiecewiseAffine(knots, values)
+    return PiecewiseAffine._trusted(tuple(knots), tuple(values))
 
 
 def max_of_lines(lines: Iterable, lo, hi) -> PiecewiseAffine:

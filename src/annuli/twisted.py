@@ -25,7 +25,7 @@ from functools import partial, reduce
 from math import comb
 from typing import Sequence, Tuple, Union
 
-from .pwaffine import PiecewiseAffine, _lower_hull, pa_combine
+from .pwaffine import PiecewiseAffine, _lower_hull, min_of_lines, pa_combine
 from .report import (NOT_APPLICABLE, PASS, Report, check_convex, check_integral, check_membership,
                      check_nonincreasing, clause, named)
 from .valued import (
@@ -292,8 +292,11 @@ def slope_functions(P: TwistedPoly, axis: str, window, frozen: Sequence = ()) ->
     With ``v_i`` the valuation function of the coefficient ``a_i``, the lower
     hull at an integer ``x`` is, at each fiber, the least of ``v_x`` (when
     ``a_x != 0``) and the chords ``((b - x) v_a + (x - a) v_b) / (b - a)`` over
-    nonzero indices ``a < x < b``.  So its height ``h(x)`` is an exact minimum
-    of piecewise-affine functions of ``r``.  Returns the classical slope
+    nonzero indices ``a < x < b``.  Each ``v_i`` is concave, the least of the
+    lines of its pieces, so a chord is the least of the weighted sums of one
+    line of ``v_a`` and one of ``v_b`` whose pieces overlap, and the height
+    ``h(x)`` is one exact lower envelope (:func:`min_of_lines`) of ``v_x``'s
+    lines and those sums.  Returns the classical slope
     functions ``f_i = F_i - F_{i-1}``, ascending, and their partial sums
     ``F_i = h(d - i) - h(d)``, ``d`` the degree.
 
@@ -320,12 +323,15 @@ def slope_functions(P: TwistedPoly, axis: str, window, frozen: Sequence = ()) ->
         shifted[i] = (valuation_function(num * m_inv, axis, (lo, hi), frozen), g._key)
     v = {i: reduce(partial(pa_combine, "sum"), (G for k, G in groups.items() if k != key), f)
          for i, (f, key) in shifted.items()}
+    lines = {i: [(x0, x1, s, y0 - s * x0) for x0, x1, s, y0 in f.pieces()] for i, f in v.items()}
 
     def hull_at(x):
-        vals = [v[x]] if x in v else []
-        vals += [v[a].scale(Fraction(b - x, b - a)) + v[b].scale(Fraction(x - a, b - a))
-                 for a in v if a < x for b in v if b > x]
-        return reduce(partial(pa_combine, "min"), vals)
+        env = [(s, c) for _, _, s, c in lines.get(x, ())]
+        for a, b in ((a, b) for a in v if a < x for b in v if b > x):
+            wa, wb = Fraction(b - x, b - a), Fraction(x - a, b - a)
+            env += [(wa * s + wb * t, wa * c + wb * e) for p0, p1, s, c in lines[a]
+                    for q0, q1, t, e in lines[b] if p0 < q1 and q0 < p1]
+        return min_of_lines(env, lo, hi)
 
     h = [hull_at(x) for x in range(P.degree, min(v) - 1, -1)]  # h[i] = h(d - i)
     fs = tuple(b - a for a, b in zip(h, h[1:]))

@@ -16,6 +16,31 @@ def eval_slopes(sf, r) -> list:
     return sorted(f(r) for f in sf.fs)
 
 
+def gauge(M, g):
+    """``M`` in the basis given by the columns of ``g``: each ``N`` becomes ``g^-1 (N g + dg)``.
+
+    ``g`` is unipotent upper triangular with Laurent entries, so ``g^-1`` is the
+    finite sum ``sum_k (I - g)^k`` and every entry stays Laurent.
+    """
+    from annuli import DiffModule
+    from annuli.modules import mat_add, mat_derive, mat_mul
+
+    cfg, d = M.config, M.rank
+    eye = [[cfg.one() if i == j else cfg.zero() for j in range(d)] for i in range(d)]
+    x = [[e - y for e, y in zip(er, gr)] for er, gr in zip(eye, g)]  # I - g, nilpotent
+    inv, power = eye, eye
+    for _ in range(d - 1):
+        power = mat_mul(power, x)
+        inv = mat_add(inv, power)
+    return DiffModule(cfg, d, {a: mat_mul(inv, mat_add(mat_mul(N, g), mat_derive(g, a)))
+                               for a, N in M.matrices.items()})
+
+
+def fiber_to_source(A, r) -> tuple:
+    """The substituted-side fiber ``A^-T r`` matching the original fiber ``r``."""
+    return A.transpose().inverse().apply(r)
+
+
 def fiber_to_target(A, rho) -> tuple:
     """The original fiber ``A^T rho`` matching the substituted-side fiber ``rho``."""
     return A.transpose().apply(rho)

@@ -45,9 +45,8 @@ from annuli import (
     wn_radius,
 )
 from annuli.modules import RadiiMultiset
-from annuli.polyhedral import fiber_to_source
 from annuli.profiles import ProfileCell, RadiusProfile
-from helpers import classical_slope_list, eval_slopes, fully_capped
+from helpers import classical_slope_list, eval_slopes, fiber_to_source, fully_capped
 
 F = Fraction
 

@@ -20,10 +20,11 @@ from annuli import serialize as ser
 from annuli.cli import main
 from annuli.modules import (DiffModule, cyclic_vector, decompose_fiber, from_companion,
                             iterate_Dn, spectral_valuation_estimate)
-from annuli.polyhedral import (TRPSet, UnimodularMatrix, _slice_report, fiber_to_source,
-                               multidim_profile, unimodular_completion)
+from annuli.polyhedral import (TRPSet, UnimodularMatrix, _slice_report, multidim_profile,
+                               unimodular_completion)
 from annuli.profiles import ProfileCell, RadiusProfile, build_radius_profile, verify_variation
 from annuli.twisted import TwistedPoly, robba_factor, twisted_mul, verify_newton_properties
+from helpers import fiber_to_source
 
 F = Fraction
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -15,6 +15,7 @@ from annuli import (
     TwistedPoly,
     ValuationConfig,
     apply_connection,
+    build_radius_profile,
     cyclic_vector,
     decompose_fiber,
     direct_sum,
@@ -32,6 +33,7 @@ from annuli import modules
 from annuli.modules import RadiiMultiset, mat_mul
 from annuli.twisted import NonConvergence, twisted_mul
 from annuli.valued import solve_fraction_free
+from helpers import gauge
 
 F = Fraction
 
@@ -683,3 +685,96 @@ def test_decompose_raises_when_escalation_falls_short(cfg2, monkeypatch):
         decompose_fiber(M, "t1", [F(1, 2)], F(6))
     assert extras == [0, 8, 24]
     assert exc.value.factors is short and exc.value.residual == F(1)
+
+
+@st.composite
+def gauged_twist_sums(draw, max_rank=3):
+    """A sum of rank-one twists ``c t^-k`` (distinct ``k``, ``c`` sometimes not a ``p``-adic
+    unit) at ``p`` in {0, 2, 3}, and the same module after a random unipotent gauge whose
+    entries above the diagonal are zero or monomials ``c t^e``."""
+    p = draw(st.sampled_from((0, 2, 3)))
+    cfg = ValuationConfig(p)
+    rank = draw(st.sampled_from(range(max_rank, 0, -1)))
+    ks = draw(st.lists(st.integers(1, 5), min_size=rank, max_size=rank, unique=True))
+    cs = draw(st.lists(st.sampled_from((1, -1, 2, 3, F(1, 2), F(-2, 3))), min_size=rank,
+                       max_size=rank))
+    M = reduce(direct_sum, [rank_one(cfg, {"t1": cfg.monomial(c, t=(-k,))}) for c, k in zip(cs, ks)])
+    mono = st.one_of(st.just(None), st.tuples(st.sampled_from((1, -1, 2, F(1, 2))), st.integers(-2, 2)))
+    g = [[cfg.one() if i == j else cfg.zero() for j in range(rank)] for i in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            m = draw(mono)
+            g[i][j] = cfg.zero() if m is None else cfg.monomial(m[0], t=(m[1],))
+    return M, gauge(M, g)
+
+
+def _reference_cyclic_vector(M, axis):
+    """The cyclic search with no skip: every candidate's Krylov matrix is eliminated.
+    Returns ``(vec, P)`` and the candidates whose elimination failed."""
+    singular = []
+    for vec in modules._cyclic_candidates(M, axis):
+        cols = [vec]
+        for _ in range(M.rank):
+            cols.append(apply_connection(M, axis, cols[-1]))
+        try:
+            N, delta = solve_fraction_free(list(zip(*cols[:M.rank])), [[-x] for x in cols[-1]])
+        except ZeroDivisionError:
+            singular.append(vec)
+            continue
+        return (vec, TwistedPoly(M.config, axis, [FracElement(n, delta) for n, in N]
+                                 + [M.config.one()])), singular
+    return None, singular
+
+
+def _krylov_is_singular(M, axis, vec):
+    cols = [vec]
+    for _ in range(M.rank):
+        cols.append(apply_connection(M, axis, cols[-1]))
+    try:
+        solve_fraction_free(list(zip(*cols[:M.rank])), [[-x] for x in cols[-1]])
+    except ZeroDivisionError:
+        return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(sparse_modules(), sparse_modules(triangular=True),
+                 gauged_twist_sums().map(lambda pair: (pair[1], "t1"))))
+def test_support_skip_is_exact(case):
+    """Every candidate whose support closes on fewer than ``d`` indices has a singular
+    Krylov matrix, and the search with the skip returns what the search without it does."""
+    M, axis = case
+    N = M.matrix(axis)
+    for vec in modules._cyclic_candidates(M, axis):
+        if len(modules._support_closure(N, vec)) < M.rank:
+            assert _krylov_is_singular(M, axis, vec)
+    want, _ = _reference_cyclic_vector(M, axis)
+    if want is None:
+        with pytest.raises(modules.CyclicSearchError):
+            cyclic_vector(M, axis)
+        return
+    vec, P = cyclic_vector(M, axis)
+    assert vec == want[0]
+    assert P.coeffs == want[1].coeffs
+
+
+def _profile_at(prof, x):
+    """The visible values, the capped count and the cap of a profile at ``x``."""
+    c = next(c for c in prof.cells if c.lo <= x <= c.hi)
+    return [c.value(i, x) for i in range(len(c.visible))], c.capped, c.cap[1] + c.cap[0] * (x - c.lo)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gauged_twist_sums(), st.sampled_from((F(1, 2), F(1), F(3, 2))))
+def test_radii_are_gauge_invariant(pair, r):
+    """Extrinsic ``visible_radii`` and ``build_radius_profile`` are properties of the module,
+    not of its basis: a twist sum and its unipotent conjugate give the same values.  The
+    profiles are compared as functions, at every cell end of either and between them: the
+    conjugate's profile may split a cell where only a capped slope bends."""
+    M, G = pair
+    assert visible_radii(G, "t1", [r]) == visible_radii(M, "t1", [r])
+    window = (F(1, 2), F(3))
+    want, got = (build_radius_profile(X, "t1", "t1", window) for X in (M, G))
+    ends = sorted({e for prof in (want, got) for c in prof.cells for e in (c.lo, c.hi)})
+    for x in ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]:
+        assert _profile_at(got, x) == _profile_at(want, x)

@@ -26,8 +26,9 @@ from annuli import (
     unimodular_completion,
     visible_radii,
 )
-from annuli.polyhedral import OracleInconsistency, _complex_edges, fiber_to_source
-from helpers import fiber_to_target
+from annuli.polyhedral import OracleInconsistency, _complex_edges
+from annuli.pwaffine import PiecewiseAffine
+from helpers import fiber_to_source, fiber_to_target
 
 F = Fraction
 
@@ -158,7 +159,7 @@ def test_reconstruct_rejects_noninteger_slope():
     def oracle(point, direction):
         # a slice with half-integer slope: inconsistent with transintegrality
         pa = synthetic_oracle(bad, SQUARE)(point, direction)
-        return pa.scale(F(1, 2))
+        return PiecewiseAffine(pa.knots, [v / 2 for v in pa.values])
 
     with pytest.raises(OracleInconsistency):
         reconstruct_polyhedral(SQUARE, oracle)

@@ -112,3 +112,34 @@ def test_combine_assoc_comm(a, b, c, x):
 def test_sum_exact(a, b, x):
     f, g = _pa(a), _pa(b)
     assert pa_combine("sum", f, g)(x) == f(x) + g(x)
+
+
+_functions = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=2,
+                      max_size=6).flatmap(lambda ys: st.builds(
+                          lambda xs: PiecewiseAffine(xs, ys),
+                          st.lists(st.fractions(min_value=0, max_value=1, max_denominator=8),
+                                   min_size=len(ys) - 2, max_size=len(ys) - 2, unique=True)
+                          .map(lambda mid: [0] + sorted(x for x in mid if 0 < x < 1) + [1])
+                          .filter(lambda xs: len(xs) == len(ys))))
+
+
+@given(f=_functions, g=_functions)
+def test_combine_matches_refined_reference(f, g):
+    """The merge equals the validated constructor on the union of knots plus the crossings
+    inside each union cell, every value read by ``__call__``; not only concave operands."""
+    xs = sorted(set(f.knots) | set(g.knots))
+    cross = [a + (b - a) * (f(a) - g(a)) / (f(a) - g(a) - f(b) + g(b))
+             for a, b in zip(xs, xs[1:]) if (f(a) - g(a)) * (f(b) - g(b)) < 0]
+    xs = sorted(xs + cross)
+    for op, red in (("sum", lambda u, w: u + w), ("min", min), ("max", max)):
+        want = PiecewiseAffine(xs, [red(f(x), g(x)) for x in xs])
+        got = pa_combine(op, f, g)
+        assert (got.knots, got.values) == (want.knots, want.values)
+
+
+@given(lines=_lines, window=st.sampled_from(((0, 1), (-2, 3), (F(1, 3), F(1, 2)))))
+def test_min_of_lines_is_canonical(lines, window):
+    """The trusted construction is what the validating constructor makes of it."""
+    out = min_of_lines(lines, *window)
+    again = PiecewiseAffine(out.knots, out.values)
+    assert (again.knots, again.values) == (out.knots, out.values)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain
 
 import pytest
@@ -21,7 +21,9 @@ from annuli import (
     twisted_mul,
     verify_newton_properties,
 )
+from annuli.pwaffine import PiecewiseAffine, pa_combine
 from annuli.twisted import NoSeparatingVertex, _laurent_approx, opposite
+from annuli.valued import valuation_function
 from helpers import by_name, classical_slope_list, is_affine
 
 F = Fraction
@@ -472,3 +474,33 @@ def test_robba_two_variable_trace():
     trace = []
     robba_factor(poly, [F(1)], F(5, 2), F(2), trace=trace)
     assert trace == [-9, -8, -6, -3, 0, 2]
+
+
+def _scaled(f, c):
+    return PiecewiseAffine(f.knots, [c * y for y in f.values])
+
+
+def _chord_min_slope_functions(P, window):
+    """``slope_functions`` as a least of whole chord functions, combined by ``pa_combine("min")``."""
+    v = {i: valuation_function(c, "t1", window) for i, c in enumerate(P.coeffs) if not c.is_zero()}
+
+    def hull_at(x):
+        vals = [v[x]] if x in v else []
+        vals += [pa_combine("sum", _scaled(v[a], F(b - x, b - a)), _scaled(v[b], F(x - a, b - a)))
+                 for a in v if a < x for b in v if b > x]
+        return reduce(partial(pa_combine, "min"), vals)
+
+    h = [hull_at(x) for x in range(P.degree, min(v) - 1, -1)]
+    return tuple(b - a for a, b in zip(h, h[1:])), tuple(g - h[0] for g in h[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifted_families())
+def test_one_envelope_per_height_matches_chord_minimum(family):
+    """One lower envelope per hull height gives the functions that the least of the whole
+    chords gives, with one denominator group (the Laurent and one-denominator forms) and
+    with several (two unrelated denominators, and Laurent coefficients mixed with fractions)."""
+    window = (F(-2), F(2))
+    for poly in family:
+        sf = slope_functions(poly, "t1", window)
+        assert (sf.fs, sf.Fs) == _chord_min_slope_functions(poly, window)

@@ -708,33 +708,24 @@ def gauged_twist_sums(draw, max_rank=3):
     return M, gauge(M, g)
 
 
-def _reference_cyclic_vector(M, axis):
-    """The cyclic search with no skip: every candidate's Krylov matrix is eliminated.
-    Returns ``(vec, P)`` and the candidates whose elimination failed."""
-    singular = []
-    for vec in modules._cyclic_candidates(M, axis):
-        cols = [vec]
-        for _ in range(M.rank):
-            cols.append(apply_connection(M, axis, cols[-1]))
-        try:
-            N, delta = solve_fraction_free(list(zip(*cols[:M.rank])), [[-x] for x in cols[-1]])
-        except ZeroDivisionError:
-            singular.append(vec)
-            continue
-        return (vec, TwistedPoly(M.config, axis, [FracElement(n, delta) for n, in N]
-                                 + [M.config.one()])), singular
-    return None, singular
-
-
-def _krylov_is_singular(M, axis, vec):
+def _krylov_solve(M, axis, vec):
+    """Bareiss on ``[v, Dv, ..., D^{d-1} v] c = -D^d v``; ``ZeroDivisionError`` if singular."""
     cols = [vec]
     for _ in range(M.rank):
         cols.append(apply_connection(M, axis, cols[-1]))
-    try:
-        solve_fraction_free(list(zip(*cols[:M.rank])), [[-x] for x in cols[-1]])
-    except ZeroDivisionError:
-        return True
-    return False
+    return solve_fraction_free(list(zip(*cols[:M.rank])), [[-x] for x in cols[-1]])
+
+
+def _reference_cyclic_vector(M, axis):
+    """The cyclic search with no skip: ``(vec, P)`` for the first candidate whose Krylov
+    matrix is nonsingular, or ``None``."""
+    for vec in modules._cyclic_candidates(M, axis):
+        try:
+            N, delta = _krylov_solve(M, axis, vec)
+        except ZeroDivisionError:
+            continue
+        return vec, TwistedPoly(M.config, axis, [FracElement(n, delta) for n, in N] + [M.config.one()])
+    return None
 
 
 @settings(max_examples=60, deadline=None)
@@ -744,18 +735,17 @@ def test_support_skip_is_exact(case):
     """Every candidate whose support closes on fewer than ``d`` indices has a singular
     Krylov matrix, and the search with the skip returns what the search without it does."""
     M, axis = case
-    N = M.matrix(axis)
     for vec in modules._cyclic_candidates(M, axis):
-        if len(modules._support_closure(N, vec)) < M.rank:
-            assert _krylov_is_singular(M, axis, vec)
-    want, _ = _reference_cyclic_vector(M, axis)
+        if len(modules._support_closure(M.matrix(axis), vec)) < M.rank:
+            with pytest.raises(ZeroDivisionError):
+                _krylov_solve(M, axis, vec)
+    want = _reference_cyclic_vector(M, axis)
     if want is None:
         with pytest.raises(modules.CyclicSearchError):
             cyclic_vector(M, axis)
         return
     vec, P = cyclic_vector(M, axis)
-    assert vec == want[0]
-    assert P.coeffs == want[1].coeffs
+    assert (vec, P.coeffs) == (want[0], want[1].coeffs)
 
 
 def _profile_at(prof, x):

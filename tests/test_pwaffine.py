@@ -114,16 +114,16 @@ def test_sum_exact(a, b, x):
     assert pa_combine("sum", f, g)(x) == f(x) + g(x)
 
 
-_functions = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=2,
-                      max_size=6).flatmap(lambda ys: st.builds(
-                          lambda xs: PiecewiseAffine(xs, ys),
-                          st.lists(st.fractions(min_value=0, max_value=1, max_denominator=8),
-                                   min_size=len(ys) - 2, max_size=len(ys) - 2, unique=True)
-                          .map(lambda mid: [0] + sorted(x for x in mid if 0 < x < 1) + [1])
-                          .filter(lambda xs: len(xs) == len(ys))))
+@st.composite
+def _functions(draw):
+    """A continuous piecewise-affine function on ``[0, 1]`` with up to four inner knots."""
+    inner = st.fractions(min_value=0, max_value=1, max_denominator=8).filter(lambda x: 0 < x < 1)
+    xs = [0] + sorted(draw(st.lists(inner, max_size=4, unique=True))) + [1]
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return PiecewiseAffine(xs, draw(st.lists(value, min_size=len(xs), max_size=len(xs))))
 
 
-@given(f=_functions, g=_functions)
+@given(f=_functions(), g=_functions())
 def test_combine_matches_refined_reference(f, g):
     """The merge equals the validated constructor on the union of knots plus the crossings
     inside each union cell, every value read by ``__call__``; not only concave operands."""

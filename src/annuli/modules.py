@@ -544,14 +544,6 @@ def _monomial_pullback(M: DiffModule, rows) -> DiffModule:
 # -- fiber decomposition -------------------------------------------------------
 
 
-def _coords_mod(P: TwistedPoly, Q: TwistedPoly, power: int) -> list:
-    """Coefficient vector of ``T^power * Q mod P`` in the cyclic basis."""
-    lifted = Q.monomial_times(Q.config.one(), power, Q)
-    _, rem = lifted.rdivmod(P)
-    d = P.degree
-    return [rem.coeff(i) for i in range(d)]
-
-
 def _approx_mat(A, r, cut):
     """Entrywise :func:`_laurent_approx` at the fiber."""
     return [[_laurent_approx(x, r, cut) for x in row] for row in A]
@@ -607,9 +599,8 @@ def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extr
     work_prec = precision + d + 4 + extra
     loss = max(Fraction(0), -min(x.gauss_valuation(r) for row in W for x in row if x))
     cut = _working_cut(P, r, work_prec + loss) + extra
-    den = next(c.den for c in P.coeffs if c)  # each n_i / delta up to a unit monomial
-    P = P._clone(_laurent_quotients([c.num * den.exact_div(c.den) for c in P.coeffs[:-1]],
-                                    den, r, cut) + [cfg.one()])
+    den = next(c.den for c in P.coeffs if c)  # delta: a zero n_i is stored over 1
+    P = P._clone(_laurent_quotients([c.num for c in P.coeffs[:-1]], den, r, cut) + [cfg.one()])
     W = _approx_mat(W, r, cut)
     Winv = _inverse(W, r, cut)
 
@@ -620,12 +611,11 @@ def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extr
         A2, B2, _ = robba_factor(Pop, r, s, work_prec)
         Ahat = opposite(A2)  # right factor of the mirrored pass, high slopes quotient
         k = A1.degree  # dimension of the low part
-        cols = []
-        for i in range(k):
-            cols.append(_coords_mod(P, B1, i))
-        for i in range(d - k):
-            cols.append(_coords_mod(P, Ahat, i))
-        U = _approx_mat([[cols[j][i] for j in range(d)] for i in range(d)], r, cut)
+        # T^i B1 (i < k) and T^i Ahat (i < d - k) have degree < d: their coefficients are
+        # already coordinates in the cyclic basis
+        cols = [Q.monomial_times(cfg.one(), i, Q) for Q, n in ((B1, k), (Ahat, d - k))
+                for i in range(n)]
+        U = _approx_mat([[col.coeff(i) for col in cols] for i in range(d)], r, cut)
         Uinv = _inverse(U, r, cut)
         sel = [[U[i][j] if j >= k else cfg.zero() for j in range(d)] for i in range(d)]
         Pi_cyc = _approx_mat(mat_mul(sel, Uinv), r, cut)

@@ -77,19 +77,14 @@ class NonConvergence(FactorizationError):
 
 
 class TwistedPoly:
-    """An Ore polynomial over Laurent (or fraction) coefficients.
+    """An Ore polynomial ``sum a_i T^i`` over Laurent (or fraction) coefficients,
+    multiplied by ``T a = a T + d(a)`` with ``d`` the derivation along ``axis``.
+    If any coefficient is a fraction, all are stored as fractions."""
 
-    ``twist_sign`` is internal presentation data: the opposite-ring pass of a
-    fiber decomposition works with the negated derivation.
-    """
+    __slots__ = ("config", "axis", "coeffs")
 
-    __slots__ = ("config", "axis", "coeffs", "twist_sign")
-
-    def __init__(self, config: ValuationConfig, axis: str, coeffs: Sequence,
-                 twist_sign: int = 1):
+    def __init__(self, config: ValuationConfig, axis: str, coeffs: Sequence):
         config.axis_kind(axis)  # validates
-        if twist_sign not in (1, -1):
-            raise ValueError("twist_sign must be +1 or -1")
         cs = list(coeffs)
         if any(isinstance(c, FracElement) for c in cs):
             cs = [FracElement.lift(c) for c in cs]
@@ -98,7 +93,6 @@ class TwistedPoly:
         self.config = config
         self.axis = axis
         self.coeffs = tuple(cs)
-        self.twist_sign = twist_sign
 
     # -- structure -----------------------------------------------------------
 
@@ -133,20 +127,19 @@ class TwistedPoly:
         return all(c.derive(self.axis).is_zero() for c in self.coeffs)
 
     def _check_compatible(self, other: "TwistedPoly"):
-        if self.axis != other.axis or self.twist_sign != other.twist_sign:
+        if self.axis != other.axis:
             raise ValueError("derivation mismatch")
         if self.config != other.config:
             raise ValueError("configuration mismatch")
 
     def _clone(self, coeffs) -> "TwistedPoly":
-        return TwistedPoly(self.config, self.axis, coeffs, self.twist_sign)
+        return TwistedPoly(self.config, self.axis, coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, TwistedPoly):
             return NotImplemented
         return (
             self.axis == other.axis
-            and self.twist_sign == other.twist_sign
             and len(self.coeffs) == len(other.coeffs)
             and all(a == b for a, b in zip(self.coeffs, other.coeffs))
         )
@@ -165,14 +158,6 @@ class TwistedPoly:
     def __mul__(self, other: "TwistedPoly") -> "TwistedPoly":
         return twisted_mul(self, other)
 
-    def _d(self, a, n: int = 1):
-        """Apply the (signed) twist derivation ``n`` times."""
-        for _ in range(n):
-            a = a.derive(self.axis)
-            if self.twist_sign < 0:
-                a = -a
-        return a
-
     def monomial_times(self, c, m: int, other: "TwistedPoly") -> "TwistedPoly":
         """Product ``(c T^m) * other`` via ``T^m a = sum C(m,l) d^l(a) T^(m-l)``."""
         out = [self.config.zero()] * (m + len(other.coeffs))
@@ -183,7 +168,7 @@ class TwistedPoly:
             for l in range(m + 1):
                 out[m + j - l] = out[m + j - l] + c * comb(m, l) * db
                 if l < m:
-                    db = self._d(db)
+                    db = db.derive(self.axis)
         return self._clone(out)
 
     def rdivmod(self, divisor: "TwistedPoly") -> Tuple["TwistedPoly", "TwistedPoly"]:
@@ -222,15 +207,16 @@ def twisted_mul(P: TwistedPoly, Q: TwistedPoly) -> TwistedPoly:
 
 
 def opposite(P: TwistedPoly) -> TwistedPoly:
-    """Image of ``P`` under the anti-isomorphism to the oppositely twisted ring.
+    """The adjoint ``sum (-1)^(d-i) T^i a_i`` of ``P = sum a_i T^i`` of degree ``d``.
 
-    Each ``a_i T^i`` maps to ``T^i a_i``, expanded by
-    :meth:`TwistedPoly.monomial_times` in the target ring, where
-    ``T a = a T - d(a)``; applying the map twice returns the input.
+    Each ``T^i a_i`` is expanded by :meth:`TwistedPoly.monomial_times`.  The map is
+    ``a T^i -> T^i a`` into the ring ``T a = a T - d(a)`` followed by ``T -> -T``
+    back into this ring, times ``(-1)^d``: an involution that reverses products
+    (degrees add) and keeps monic input monic.
     """
-    ring = TwistedPoly(P.config, P.axis, [], -P.twist_sign)
-    return sum((ring.monomial_times(P.config.one(), i, ring._clone([a]))
-                for i, a in enumerate(P.coeffs) if a), ring)
+    d = len(P.coeffs) - 1
+    return sum((P.monomial_times(P.config.scalar((-1) ** (d - i)), i, P._clone([a]))
+                for i, a in enumerate(P.coeffs) if a), P._clone([]))
 
 
 @dataclass(frozen=True)
@@ -302,25 +288,23 @@ def slope_functions(P: TwistedPoly, axis: str, window, frozen: Sequence = ()) ->
 
     Common shift: adding one function ``G`` of ``r`` to every ``v_i`` adds
     ``G`` to every height, so ``f_i`` and ``F_i`` do not change.  Denominators
-    are grouped by equality up to a monomial ``m`` (all of ``cyclic_vector``'s
-    ``n_i/delta`` form one group), each group's ``g = den/m`` is valued once,
-    and ``G`` is the sum of those valuations: ``n/(m g)`` is valued as ``n/m``
-    plus the other groups, a Laurent coefficient as itself plus every group.
+    other than 1 are grouped by equality (all of ``cyclic_vector``'s ``n_i/delta``
+    share one), each group's denominator is valued once, and ``G`` is the sum
+    of those valuations: ``n/den`` is valued as ``n`` plus the other groups, a
+    Laurent coefficient as itself plus every group.
     """
     if P.is_zero():
         raise ValueError("slope functions of the zero polynomial")
     lo, hi = Fraction(window[0]), Fraction(window[1])
+    one = P.config.one()
     groups, shifted = {}, {}
     for i, c in enumerate(P.coeffs):
         if c.is_zero():
             continue
-        num, den = (c.num, c.den) if isinstance(c, FracElement) else (c, P.config.one())
-        (e0, t0), c0 = den._key[0]  # m, the least term of den
-        m_inv = P.config.monomial(1 / Fraction(c0), [-x for x in e0], [-x for x in t0])
-        g = den * m_inv
-        if len(g.terms) > 1 and g._key not in groups:
-            groups[g._key] = valuation_function(g, axis, (lo, hi), frozen)
-        shifted[i] = (valuation_function(num * m_inv, axis, (lo, hi), frozen), g._key)
+        num, den = (c.num, c.den) if isinstance(c, FracElement) else (c, one)
+        if den != one and den._key not in groups:
+            groups[den._key] = valuation_function(den, axis, (lo, hi), frozen)
+        shifted[i] = (valuation_function(num, axis, (lo, hi), frozen), den._key)
     v = {i: reduce(partial(pa_combine, "sum"), (G for k, G in groups.items() if k != key), f)
          for i, (f, key) in shifted.items()}
     lines = {i: [(x0, x1, s, y0 - s * x0) for x0, x1, s, y0 in f.pieces()] for i, f in v.items()}

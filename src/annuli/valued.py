@@ -521,9 +521,9 @@ class FracElement:
     """A quotient ``num/den`` of Laurent elements; the computable fraction field.
 
     Gauss valuations extend multiplicatively: ``v(num/den) = v(num) - v(den)``.
-    Only light normalization is performed (common monomial and rational scalar),
-    never a common factor, so ring and fraction systems solve fraction-free
-    (:func:`solve_fraction_free`) and wrap each result once as ``n_i / delta``.
+    ``num`` and ``den`` are stored as given, with no normalization (a zero
+    numerator gets denominator 1), so the results ``n_i / delta`` of one
+    fraction-free solve (:func:`solve_fraction_free`) keep the one ``delta``.
     Equal elements may store different ``num``/``den``, so the class is unhashable.
     """
 
@@ -536,8 +536,6 @@ class FracElement:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             den = num.config.one()
-        else:
-            num, den = _frac_normalize(num, den)
         self.num = num
         self.den = den
 
@@ -624,26 +622,6 @@ class FracElement:
         if self.den == self.config.one():
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
-
-
-def _frac_normalize(num: LaurentElement, den: LaurentElement):
-    cfg = num.config
-    keys = list(num.terms) + list(den.terms)
-    e_min = tuple(min(k[0][j] for k in keys) for j in range(cfg.m_base))
-    i_min = tuple(min(k[1][j] for k in keys) for j in range(cfg.n_geom))
-    lead = den._key[0][1]  # coefficient of the lexicographically least den term
-
-    def shift(el):
-        return LaurentElement._trusted(
-            cfg,
-            {
-                (tuple(map(sub, e, e_min)), tuple(map(sub, i, i_min))):
-                    c if lead == 1 else _ratio(c, lead)
-                for (e, i), c in el.terms.items()
-            },
-        )
-
-    return shift(num), shift(den)
 
 
 def gauss_valuation(x, r: Sequence) -> ValuationValue:

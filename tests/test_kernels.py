@@ -179,11 +179,13 @@ def test_product_edge_cases():
     for c in (2, 3, -6):  # 1 / c with an integral c other than 1
         inv = cfg.monomial(c, u=(1,), t=(3, 0)) ** -1
         same(inv, LaurentElement(cfg, {((-1,), (-3, 0)): F(1, c)}))
-    # the least denominator term has coefficient 2, by which both sides are divided
-    q = FracElement(cfg.one() + cfg.monomial(3, t=(0, 1)),
-                    cfg.scalar(2) + cfg.monomial(5, t=(1, 0)))
-    same(q.num, LaurentElement(cfg, {((0,), (0, 0)): F(1, 2), ((0,), (0, 1)): F(3, 2)}))
-    same(q.den, LaurentElement(cfg, {((0,), (0, 0)): F(1), ((0,), (1, 0)): F(5, 2)}))
+    # a fraction keeps num and den as given: no common monomial or scalar is divided out
+    num = cfg.monomial(2, t=(0, -1)) + cfg.monomial(6, u=(1,))
+    den = cfg.monomial(4, t=(0, -1)) + cfg.monomial(10, t=(1, -1))
+    q = FracElement(num, den)
+    same(q.num, num)
+    same(q.den, den)
+    same(FracElement(cfg.zero(), den).den, cfg.one())
 
 
 # -- mixed Laurent/fraction arithmetic ------------------------------------------

@@ -375,9 +375,12 @@ def _twist_ladder(rank):
 
 @pytest.mark.parametrize("M, axis", _charpoly_cases())
 def test_charpoly_annihilates_cyclic_vector(M, axis):
-    """``sum c_i D^i v + D^d v == 0`` for the returned ``P = T^d + sum c_i T^i``."""
+    """``sum c_i D^i v + D^d v == 0`` for the returned ``P = T^d + sum c_i T^i``, whose
+    nonzero ``c_i`` are stored over one shared determinant."""
     vec, P = cyclic_vector(M, axis)
     assert P.is_monic() and P.degree == M.rank
+    dens = [c.den for c in P.coeffs[:-1] if c]
+    assert all(den == dens[0] for den in dens)
     acc, Dv = [P.coeff(0) * x for x in vec], vec
     for c in P.coeffs[1:]:
         Dv = apply_connection(M, axis, Dv)

@@ -22,7 +22,7 @@ from annuli import (
     verify_newton_properties,
 )
 from annuli.pwaffine import PiecewiseAffine, pa_combine
-from annuli.twisted import NoSeparatingVertex, _laurent_approx, opposite
+from annuli.twisted import NonConvergence, NoSeparatingVertex, _laurent_approx, opposite
 from annuli.valued import valuation_function
 from helpers import by_name, classical_slope_list, is_affine
 
@@ -254,12 +254,37 @@ def test_twisted_additivity_below_threshold(cfg2):
     assert sorted(visible) == [F(2), F(3)]
 
 
-def test_opposite_is_involutive_antihomomorphism(cfg2):
-    t = cfg2.t(1)
-    A = P(cfg2, t + cfg2.scalar(2), cfg2.one())
-    B = P(cfg2, -t ** -2, t, cfg2.one())
+@st.composite
+def adjoint_pairs(draw):
+    """Two polynomials of degree <= 3 over one configuration at p = 0, 2 or 3, each monic
+    or not; coefficients are Laurent, some of them fractions over a binomial ``t^k + c``."""
+    cfg = ValuationConfig(draw(st.sampled_from((0, 2, 3))))
+
+    def coeff():
+        c = draw(st.one_of(st.just(cfg.zero()), _laurents(cfg, 1), _laurents(cfg, 2)))
+        if c and draw(st.integers(0, 3)) == 0:
+            c = FracElement(c, cfg.t(1, draw(st.sampled_from((-2, -1, 1)))) + cfg.scalar(2))
+        return c
+
+    def poly():
+        deg = draw(st.integers(0, 3))
+        lead = cfg.one() if draw(st.booleans()) else draw(_laurents(cfg, 1))
+        return P(cfg, *(coeff() for _ in range(deg)), lead)
+
+    return poly(), poly()
+
+
+@settings(max_examples=60, deadline=None)
+@given(adjoint_pairs())
+def test_opposite_is_involutive_antihomomorphism(pair):
+    """The adjoint ``sum (-1)^(d-i) T^i a_i`` is an involution, reverses products and keeps
+    monic input monic."""
+    A, B = pair
     assert opposite(opposite(A)) == A
     assert opposite(twisted_mul(A, B)) == twisted_mul(opposite(B), opposite(A))
+    for Q in pair:
+        assert opposite(Q).degree == Q.degree
+        assert opposite(Q).is_monic() == Q.is_monic()
 
 
 def test_laurent_coefficients(cfg2):
@@ -474,6 +499,19 @@ def test_robba_two_variable_trace():
     trace = []
     robba_factor(poly, [F(1)], F(5, 2), F(2), trace=trace)
     assert trace == [-9, -8, -6, -3, 0, 2]
+
+
+def test_robba_gives_up_with_its_best_pair(cfg2):
+    """Out of budget, ``robba_factor`` raises with the best pair of its trace as ``factors``
+    and that pair's residual, which ``P - A B`` recomputed here matches."""
+    t = cfg2.t(1)
+    poly = twisted_mul(P(cfg2, -t ** -2, cfg2.one()), P(cfg2, -t ** -3, cfg2.one()))
+    trace = []
+    with pytest.raises(NonConvergence) as exc:
+        robba_factor(poly, [F(1)], F(5, 2), F(12), budget=2, trace=trace)
+    assert trace == [-5, -4] and exc.value.residual == -4
+    A, B = exc.value.factors
+    assert (poly - twisted_mul(A, B)).min_valuation([F(1)]) == -4
 
 
 def _scaled(f, c):

@@ -609,7 +609,7 @@ def _decompose_fiber_once(M: DiffModule, axis: str, r: Sequence, precision, extr
     for s in splits:
         A1, B1, _ = robba_factor(P, r, s, work_prec)
         A2, B2, _ = robba_factor(Pop, r, s, work_prec)
-        Ahat = opposite(A2)  # right factor of the mirrored pass, high slopes quotient
+        Ahat = opposite(A2)  # right factor of the adjoint pass, high slopes quotient
         k = A1.degree  # dimension of the low part
         # T^i B1 (i < k) and T^i Ahat (i < d - k) have degree < d: their coefficients are
         # already coordinates in the cyclic basis

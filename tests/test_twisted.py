@@ -257,7 +257,7 @@ def test_twisted_additivity_below_threshold(cfg2):
 @st.composite
 def adjoint_pairs(draw):
     """Two polynomials of degree <= 3 over one configuration at p = 0, 2 or 3, each monic
-    or not; coefficients are Laurent, some of them fractions over a binomial ``t^k + c``."""
+    or not; coefficients are Laurent, some of them fractions over a binomial ``t^k + 2``."""
     cfg = ValuationConfig(draw(st.sampled_from((0, 2, 3))))
 
     def coeff():
